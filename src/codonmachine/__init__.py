@@ -54,6 +54,7 @@ from .sim import (
     SimInstance,
     TraceEvent,
     apply_trna,
+    iter_run,
     match_window,
     new_sim,
     run,
@@ -68,6 +69,7 @@ from .trna import (
     compile_rule,
     compile_ruleset,
     infer_sides,
+    move_row,
     render_trna,
     render_trna_listing,
 )

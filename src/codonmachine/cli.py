@@ -12,14 +12,15 @@ Subcommands:
 SPEC is a bundled machine name or a path to a spec file. Bundled machines use
 their bundled codec automatically; ``--codec`` points at an override file.
 
-Exit codes: 0 success, 1 parse/validation failure, 2 codec failure,
-3 step limit reached, 4 nondeterministic match fault, 5 verification
-divergence.
+Exit codes: 0 success, 1 parse/validation failure or a --max-steps below 1,
+2 codec failure, 3 step limit reached, 4 nondeterministic match fault,
+5 verification divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -28,15 +29,9 @@ from .corpus import builtin_corpus, corpus_codec_text, corpus_spec_text
 from .fsm import FsmError, fsm_run
 from .machine import FsmSpec, MachineSpec, SpecError, parse_spec
 from .oracle import bisimulate
-from .sim import (
-    Arrival,
-    NondeterminismFault,
-    Outcome,
-    new_sim,
-    step as sim_step,
-)
+from .sim import DEFAULT_MAX_STEPS, Arrival, NondeterminismFault, Outcome, iter_run, new_sim
 from .tape import decode_tape
-from .trna import CompileMode, infer_sides, render_trna_listing
+from .trna import CompileMode, infer_sides, move_row, render_trna_listing
 
 TRACE_FORMAT_HEADER = {"format": "codonmachine-trace", "version": 1}
 
@@ -110,91 +105,71 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _run_events(sim, arrival, max_steps):
-    """Step until halt or budget; yields (sim_after, event)."""
-    events = []
-    while sim.step_count < max_steps and not sim.halted:
-        sim, event = sim_step(sim, arrival)
-        if event is None:
-            break
-        events.append((sim, event))
-    if not sim.halted and sim.step_count >= max_steps:
-        probe, event = sim_step(sim, arrival)
-        if event is None:
-            sim = probe
-    return sim, events
+def _check_budget(args) -> None:
+    if args.max_steps < 1:
+        raise _CliFailure(EXIT_SPEC, f"--max-steps must be at least 1, got {args.max_steps}")
+
+
+def _structured_event(e) -> str:
+    """One JSON line of the structured trace."""
+    d = e.decoded_before
+    record = {
+        "step": e.step,
+        "rule": e.rule_id,
+        "side": e.side.value,
+        "trials": e.trials,
+        "window_before": e.window_before,
+        "window_after": e.window_after,
+        "state": d.state,
+        "head": d.head_abs,
+        "symbols": "".join(d.symbols),
+    }
+    return json.dumps(record, ensure_ascii=False)
+
+
+def _text_event(after, e) -> str:
+    """The fired rule's read, move and write rows, then the tape after."""
+    trna = next(t for t in after.trnas if t.rule_id == e.rule_id)
+    rows = (trna.read_row(e.side), move_row(trna), trna.write)
+    return "\n".join(f"  {'_'.join(row)}" for row in rows) + "\n" + after.tape.render()
 
 
 def cmd_run(args) -> int:
+    _check_budget(args)
     spec, corpus_name = _load_spec(args.spec)
     spec = _require_tm(spec)
     codec = _load_codec(spec, corpus_name, args.codec)
     arrival = Arrival(args.arrival)
-    sim = new_sim(spec, codec, _mode(args), rng_seed=args.seed)
-    final = decoded = None
+    final = new_sim(spec, codec, _mode(args), rng_seed=args.seed)
+    structured = args.format == "structured"
+    print(json.dumps(TRACE_FORMAT_HEADER) if structured else final.tape.render())
     try:
-        if args.format == "structured":
-            print(json.dumps(TRACE_FORMAT_HEADER))
-            final, events = _run_events(sim, arrival, args.max_steps)
-            for _, e in events:
-                d = e.decoded_before
-                print(
-                    json.dumps(
-                        {
-                            "step": e.step,
-                            "rule": e.rule_id,
-                            "side": e.side.value,
-                            "trials": e.trials,
-                            "window_before": e.window_before,
-                            "window_after": e.window_after,
-                            "state": d.state,
-                            "head": d.head_abs,
-                            "symbols": "".join(d.symbols),
-                        },
-                        ensure_ascii=False,
-                    )
-                )
-        else:
-            print(sim.tape.render())
-            final, events = _run_events(sim, arrival, args.max_steps)
-            for s, e in events:
-                trna = next(t for t in final.trnas if t.rule_id == e.rule_id)
-                row = trna.read_row(e.side)
-                print(f"  {'_'.join(row)}")
-                print(f"  {_move_row_text(trna)}")
-                print(f"  {'_'.join(trna.write)}")
-                print(s.tape.render())
-        decoded = decode_tape(final.tape, codec)
-        outcome = Outcome.HALTED if final.halted else Outcome.STEP_LIMIT
-        summary = {
-            "outcome": outcome.value,
-            "steps": final.step_count,
-            "trials": final.trial_count,
-            "state": decoded.state,
-            "symbols": "".join(decoded.symbols),
-        }
-        if args.format == "structured":
-            print(json.dumps(summary, ensure_ascii=False))
-        else:
-            print(f"symbols: {summary['symbols']}")
-            print(f"state: {decoded.state if decoded.state else 'halted'}")
-            print(f"outcome: {outcome.value}")
-            print(f"steps: {final.step_count}")
-            print(f"trials: {final.trial_count}")
-        return EXIT_OK if outcome is Outcome.HALTED else EXIT_STEP_LIMIT
+        for final, e in iter_run(final, arrival, args.max_steps):
+            if e is not None:
+                print(_structured_event(e) if structured else _text_event(final, e))
     except NondeterminismFault as e:
         print(f"nondeterminism fault: {e}", file=sys.stderr)
         return EXIT_NONDETERMINISM
-
-
-def _move_row_text(trna) -> str:
-    state_ones = "1" * len(trna.write[0])
-    symbol_ones = "1" * len(trna.write[1])
-    first = "0" + state_ones[1:] if trna.hole else state_ones
-    return f"{first}_{symbol_ones}_{state_ones}"
+    decoded = decode_tape(final.tape, codec)
+    outcome = Outcome.HALTED if final.halted else Outcome.STEP_LIMIT
+    summary = {
+        "outcome": outcome.value,
+        "steps": final.step_count,
+        "trials": final.trial_count,
+        "state": decoded.state,
+        "symbols": "".join(decoded.symbols),
+    }
+    if structured:
+        print(json.dumps(summary, ensure_ascii=False))
+    else:
+        summary["state"] = decoded.state or "halted"
+        for key in ("symbols", "state", "outcome", "steps", "trials"):
+            print(f"{key}: {summary[key]}")
+    return EXIT_OK if outcome is Outcome.HALTED else EXIT_STEP_LIMIT
 
 
 def cmd_verify(args) -> int:
+    _check_budget(args)
     spec, corpus_name = _load_spec(args.spec)
     spec = _require_tm(spec)
     codec = _load_codec(spec, corpus_name, args.codec)
@@ -207,16 +182,10 @@ def cmd_verify(args) -> int:
         record = {
             "passed": verdict.passed,
             "steps": verdict.steps,
-            "outcome": verdict.outcome.value,
+            "outcome": verdict.outcome and verdict.outcome.value,
         }
         if verdict.divergence:
-            d = verdict.divergence
-            record["divergence"] = {
-                "step": d.step,
-                "kind": d.kind,
-                "mechanical": d.mechanical,
-                "classical": d.classical,
-            }
+            record["divergence"] = dataclasses.asdict(verdict.divergence)
         print(json.dumps(record, ensure_ascii=False))
     elif verdict.passed:
         print(f"PASS: {verdict.steps} lockstep steps, {verdict.outcome.value}")
@@ -307,14 +276,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default="deterministic",
     )
     p.add_argument("--seed", type=int, default=None, help="stochastic arrival seed")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="lockstep-check against the classical run")
     p.add_argument("spec")
     common(p)
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .machine import FsmSpec, MachineSpec
 
@@ -132,18 +133,20 @@ class Codec:
     def halt_state(self) -> str:
         return "1" * self.state_len
 
+    @cached_property
+    def _symbol_names(self) -> dict[str, str]:
+        return {bits: name for name, bits in self.symbol_write.items()}
+
+    @cached_property
+    def _state_names(self) -> dict[str, str]:
+        return {bits: name for name, bits in self.state_write.items()}
+
     def symbol_name(self, codon: str) -> str | None:
         """Reverse-map a write codon to its symbol name, if assigned."""
-        for name, bits in self.symbol_write.items():
-            if bits == codon:
-                return name
-        return None
+        return self._symbol_names.get(codon)
 
     def state_name(self, codon: str) -> str | None:
-        for name, bits in self.state_write.items():
-            if bits == codon:
-                return name
-        return None
+        return self._state_names.get(codon)
 
 
 def trna_width(codec: Codec) -> int:

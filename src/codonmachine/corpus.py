@@ -30,6 +30,7 @@ fsm-rule: B 1 A
 initial: A
 """
 
+# The head starts on cell 2, the first non-default cell (frozen convention).
 INCREMENTER_TEXT = """\
 symbols: 0 1 #
 states: q1 q2
@@ -44,13 +45,6 @@ initial: q1
 tape: ##01##
 head: 2
 """
-
-# Candidate readings of the incrementer's starting cell; index 2 (the first
-# non-default cell) is the frozen convention used by the corpus entry.
-INCREMENTER_HEAD_CANDIDATES = {
-    "first_nondefault": 2,
-    "left_of_first_nondefault": 1,
-}
 
 UNARY_ADDER_TEXT = """\
 symbols: 0 1

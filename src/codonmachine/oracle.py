@@ -10,15 +10,14 @@ content of every position either run has touched; both must halt together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .codec import Codec, build_codec
-from .machine import MachineSpec, Move
-from .sim import Arrival, new_sim, step as mech_step
-from .tape import decode_tape
+from .machine import MachineSpec, Move, Rule
+from .sim import DEFAULT_MAX_STEPS, Arrival, Outcome, iter_run, new_sim
+from .tape import DecodedConfig, decode_tape
 from .trna import CompileMode, Trna
 
-DEFAULT_MAX_STEPS = 10_000
+RunOutcome = Outcome  # the oracle's public name for sim.Outcome
 
 
 @dataclass
@@ -36,36 +35,49 @@ def initial_config(spec: MachineSpec) -> ClassicalConfig:
     )
 
 
-def _rule_table(spec: MachineSpec):
+_RuleTable = dict[tuple[str, str], Rule]
+
+
+def _rule_table(spec: MachineSpec) -> _RuleTable:
     return {(r.state, r.read_symbol): r for r in spec.rules}
 
 
+def _classical_step(
+    table: _RuleTable, default_symbol: str, cfg: ClassicalConfig, probe: bool = False
+) -> bool:
+    """Fire the rule under the head, updating ``cfg`` in place; ``probe`` only
+    looks. A missing rule is a stuck halt: the state becomes None and the
+    result is False."""
+    rule = table.get((cfg.state, cfg.symbols.get(cfg.head, default_symbol)))
+    if rule is None:
+        cfg.state = None
+        return False
+    if probe:
+        return True
+    cfg.symbols[cfg.head] = rule.write_symbol
+    if rule.move is Move.HALT:
+        cfg.state = None
+    else:
+        cfg.head += 1 if rule.move is Move.RIGHT else -1
+        cfg.state = rule.next_state
+    return True
+
+
 def tm_step(spec: MachineSpec, cfg: ClassicalConfig) -> ClassicalConfig:
-    """One classical step; a missing rule is a stuck halt, not an error."""
+    """One classical step on a copy of ``cfg``; a missing rule is a stuck
+    halt, not an error."""
     if cfg.state is None:
         raise ValueError("machine already halted")
-    read = cfg.symbols.get(cfg.head, spec.default_symbol)
-    rule = _rule_table(spec).get((cfg.state, read))
-    if rule is None:
-        return ClassicalConfig(symbols=dict(cfg.symbols), state=None, head=cfg.head)
-    symbols = dict(cfg.symbols)
-    symbols[cfg.head] = rule.write_symbol
-    if rule.move is Move.HALT:
-        return ClassicalConfig(symbols=symbols, state=None, head=cfg.head)
-    head = cfg.head + (1 if rule.move is Move.RIGHT else -1)
-    return ClassicalConfig(symbols=symbols, state=rule.next_state, head=head)
-
-
-class RunOutcome(Enum):
-    HALTED = "halted"
-    STEP_LIMIT = "step-limit"
+    nxt = ClassicalConfig(dict(cfg.symbols), cfg.state, cfg.head)
+    _classical_step(_rule_table(spec), spec.default_symbol, nxt)
+    return nxt
 
 
 @dataclass
 class TmRunResult:
     config: ClassicalConfig
     steps: int
-    outcome: RunOutcome
+    outcome: Outcome
     min_pos: int
     max_pos: int
 
@@ -78,7 +90,9 @@ class TmRunResult:
 
 
 def tm_run(spec: MachineSpec, max_steps: int = DEFAULT_MAX_STEPS) -> TmRunResult:
-    """Iterate tm_step, tracking the touched extent (initial cells + visits)."""
+    """Step the classical table until halt or the budget, tracking the touched
+    extent (initial cells + visits). As in ``sim.iter_run``, a machine stuck
+    exactly at the budget reports the halt."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     table = _rule_table(spec)
@@ -87,20 +101,12 @@ def tm_run(spec: MachineSpec, max_steps: int = DEFAULT_MAX_STEPS) -> TmRunResult
     hi = max(len(spec.tape) - 1, cfg.head)
     steps = 0
     while cfg.state is not None and steps < max_steps:
-        read = cfg.symbols.get(cfg.head, spec.default_symbol)
-        rule = table.get((cfg.state, read))
-        if rule is None:
-            cfg = ClassicalConfig(dict(cfg.symbols), None, cfg.head)
-            break
-        cfg.symbols[cfg.head] = rule.write_symbol
-        steps += 1
-        if rule.move is Move.HALT:
-            cfg.state = None
-            break
-        cfg.head += 1 if rule.move is Move.RIGHT else -1
-        cfg.state = rule.next_state
-        lo, hi = min(lo, cfg.head), max(hi, cfg.head)
-    outcome = RunOutcome.HALTED if cfg.state is None else RunOutcome.STEP_LIMIT
+        if _classical_step(table, spec.default_symbol, cfg):
+            steps += 1
+            lo, hi = min(lo, cfg.head), max(hi, cfg.head)
+    if cfg.state is not None:
+        _classical_step(table, spec.default_symbol, cfg, probe=True)
+    outcome = Outcome.HALTED if cfg.state is None else Outcome.STEP_LIMIT
     return TmRunResult(config=cfg, steps=steps, outcome=outcome, min_pos=lo, max_pos=hi)
 
 
@@ -116,16 +122,35 @@ class Divergence:
 class BisimVerdict:
     passed: bool
     steps: int
-    outcome: RunOutcome
+    outcome: Outcome | None  # None on a divergence
     divergence: Divergence | None = None
 
 
-def _mech_view(sim, codec):
-    decoded = decode_tape(sim.tape, codec)
-    cells = {
-        sim.tape.origin + i: name for i, name in enumerate(decoded.symbols)
-    }
-    return decoded, cells
+def _divergence(
+    spec: MachineSpec, step: int, decoded: DecodedConfig, scan_failed: bool, cfg: ClassicalConfig
+) -> Divergence | None:
+    """The first disagreement between the decoded mechanical tape and the
+    classical configuration: halting, then every symbol either side holds,
+    then state and head. A cell neither holds is the default on both."""
+    # an explicit halt rule leaves no live slot; a stuck machine keeps its
+    # live slot but the instance is flagged halted after the failed scan
+    mech_halted = scan_failed or decoded.state is None
+    cls_halted = cfg.state is None
+    if mech_halted != cls_halted:
+        return Divergence(step, "halting", str(mech_halted), str(cls_halted))
+    mech = dict(enumerate(decoded.symbols, start=decoded.origin))
+    for p in sorted(mech.keys() | cfg.symbols.keys()):
+        m = mech.get(p, spec.default_symbol)
+        c = cfg.symbols.get(p, spec.default_symbol)
+        if m != c:
+            return Divergence(step, "symbols", f"{p}:{m}", f"{p}:{c}")
+    if mech_halted:
+        return None
+    if decoded.state != cfg.state:
+        return Divergence(step, "state", str(decoded.state), str(cfg.state))
+    if decoded.head_abs != cfg.head:
+        return Divergence(step, "head", str(decoded.head_abs), str(cfg.head))
+    return None
 
 
 def bisimulate(
@@ -137,60 +162,31 @@ def bisimulate(
 ) -> BisimVerdict:
     """Prove the mechanical run equivalent to the classical run, step by step.
 
-    ``trnas`` substitutes the compiled ruleset on the mechanical side only
-    (useful to demonstrate that a corrupted compile is caught).
+    The mechanical side is ``sim.iter_run`` with deterministic arrival, and
+    the classical side follows the same budget rule. ``trnas`` substitutes the
+    compiled ruleset on the mechanical side only (useful to demonstrate that a
+    corrupted compile is caught).
     """
     if codec is None:
         codec = build_codec(spec)
     sim = new_sim(spec, codec, mode, trnas=trnas)
+    table = _rule_table(spec)
     cfg = initial_config(spec)
-    lo = min(0, cfg.head)
-    hi = max(len(spec.tape) - 1, cfg.head)
-    steps_done = 0
-    while True:
-        decoded, mech_cells = _mech_view(sim, codec)
-        # an explicit halt rule leaves no live slot; a stuck machine keeps its
-        # live slot but the instance is flagged halted after the failed scan
-        mech_halted = sim.halted or decoded.state is None
-        cls_halted = cfg.state is None
-        if mech_halted != cls_halted:
-            return BisimVerdict(
-                False,
-                steps_done,
-                RunOutcome.HALTED,
-                Divergence(steps_done, "halting", str(mech_halted), str(cls_halted)),
-            )
-        region = set(mech_cells) | set(cfg.symbols) | set(range(lo, hi + 1))
-        for p in sorted(region):
-            m = mech_cells.get(p, spec.default_symbol)
-            c = cfg.symbols.get(p, spec.default_symbol)
-            if m != c:
-                return BisimVerdict(
-                    False,
-                    steps_done,
-                    RunOutcome.HALTED,
-                    Divergence(steps_done, "symbols", f"{p}:{m}", f"{p}:{c}"),
-                )
-        if mech_halted:
-            return BisimVerdict(True, steps_done, RunOutcome.HALTED)
-        if decoded.state != cfg.state:
-            return BisimVerdict(
-                False,
-                steps_done,
-                RunOutcome.HALTED,
-                Divergence(steps_done, "state", str(decoded.state), str(cfg.state)),
-            )
-        if decoded.head_abs != cfg.head:
-            return BisimVerdict(
-                False,
-                steps_done,
-                RunOutcome.HALTED,
-                Divergence(steps_done, "head", str(decoded.head_abs), str(cfg.head)),
-            )
-        if steps_done == max_steps:
-            return BisimVerdict(True, steps_done, RunOutcome.STEP_LIMIT)
-        sim, event = mech_step(sim, Arrival.DETERMINISTIC)
-        cfg = tm_step(spec, cfg)
-        lo, hi = min(lo, cfg.head), max(hi, cfg.head)
-        if event is not None:
-            steps_done += 1
+    steps = 0
+    for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):
+        # each event carries the decoded tape it stepped from
+        decoded = event.decoded_before if event else decode_tape(sim.tape, codec)
+        divergence = _divergence(spec, steps, decoded, False, cfg)
+        if divergence:
+            return BisimVerdict(False, steps, None, divergence)
+        _classical_step(table, spec.default_symbol, cfg)
+        sim = after
+        steps += event is not None
+    if not sim.halted:
+        # iter_run stopped at the budget after its halt check found a rule
+        _classical_step(table, spec.default_symbol, cfg, probe=True)
+    decoded = decode_tape(sim.tape, codec)
+    divergence = _divergence(spec, steps, decoded, sim.halted, cfg)
+    if divergence:
+        return BisimVerdict(False, steps, None, divergence)
+    return BisimVerdict(True, steps, Outcome.HALTED if sim.halted else Outcome.STEP_LIMIT)

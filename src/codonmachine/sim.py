@@ -17,6 +17,7 @@ offers 50 arrivals.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -166,25 +167,39 @@ def step(
     return after, event
 
 
+def iter_run(
+    sim: SimInstance,
+    arrival: Arrival = Arrival.DETERMINISTIC,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> Iterator[tuple[SimInstance, TraceEvent | None]]:
+    """Step until halt or the step budget runs out.
+
+    Yields (instance after, event) for each step, then (halted instance, None)
+    if the machine halts. At the budget one more step is tried as a halt
+    check, so a machine that halts exactly there reports the halt; a rule that
+    fires on that check is discarded and the run ends at the step limit. A
+    budget below 1 raises ValueError when iteration starts.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    if sim.halted:
+        yield sim, None
+    while not sim.halted:
+        after, event = step(sim, arrival)
+        if event is not None and sim.step_count >= max_steps:
+            return
+        sim = after
+        yield sim, event
+
+
 def run(
     sim: SimInstance,
     max_steps: int = DEFAULT_MAX_STEPS,
     arrival: Arrival = Arrival.DETERMINISTIC,
 ) -> tuple[SimInstance, list[TraceEvent], Outcome]:
-    """Step until halt or the step budget runs out."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    """Collect iter_run's events and the final instance and outcome."""
     trace: list[TraceEvent] = []
-    if sim.halted:
-        return sim, trace, Outcome.HALTED
-    while sim.step_count < max_steps:
-        sim, event = step(sim, arrival)
-        if event is None:
-            return sim, trace, Outcome.HALTED
-        trace.append(event)
-    # allow a trailing halt check so a machine that halts exactly at the
-    # budget reports HALTED rather than STEP_LIMIT
-    probe, event = step(sim, arrival)
-    if event is None:
-        return probe, trace, Outcome.HALTED
-    return sim, trace, Outcome.STEP_LIMIT
+    for sim, event in iter_run(sim, arrival, max_steps):
+        if event is not None:
+            trace.append(event)
+    return sim, trace, Outcome.HALTED if sim.halted else Outcome.STEP_LIMIT

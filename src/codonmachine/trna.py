@@ -145,7 +145,8 @@ def compile_ruleset(
     ]
 
 
-def _move_row(t: Trna) -> Row:
+def move_row(t: Trna) -> Row:
+    """All ones, with the leading bit cleared (the hole) on a left move."""
     state_ones = "1" * len(t.write[0])
     symbol_ones = "1" * len(t.write[1])
     first = "0" + state_ones[1:] if t.hole else state_ones
@@ -176,7 +177,7 @@ def render_trna(t: Trna) -> str:
         lines.append(f"read2: {_join(right)}")
     else:
         lines.append(f"read: {_join(left or right)}")
-    lines.append(f"R/L: {_join(_move_row(t))}")
+    lines.append(f"R/L: {_join(move_row(t))}")
     lines.append(f"write: {_join(t.write)}")
     return "\n".join(lines)
 

@@ -1,8 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
-from codonmachine import MachineSpec, Move, Rule, builtin_corpus, corpus_codec
+from codonmachine import (
+    MachineSpec,
+    Move,
+    Rule,
+    builtin_corpus,
+    compile_ruleset,
+    corpus_codec,
+)
 
 STATE_POOL = ["qa", "qb", "qc", "qd"]
 SYMBOL_POOL = ["x", "y", "z"]
@@ -102,3 +110,22 @@ UTM_FINAL_HEAD = -1
 INCREMENTER_FINAL_TAPE = "##01#1"
 INCREMENTER_FINAL_HEAD = 5
 INCREMENTER_STEPS = 4
+
+
+ONE_RULE_WALKER = """\
+symbols: 0 1
+states: q1
+rule: q1 0 1 R q1
+default: 0
+initial: q1
+tape: 00
+head: 0
+"""
+
+
+def corrupt_first_write(spec, codec):
+    """The compiled ruleset with rule 1 writing the default symbol instead."""
+    trnas = compile_ruleset(spec, codec)
+    slot, _, other = trnas[0].write
+    bad = (slot, codec.symbol_write[spec.default_symbol], other)
+    return [dataclasses.replace(trnas[0], write=bad), *trnas[1:]]

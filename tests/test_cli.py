@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from codonmachine import BisimVerdict, Divergence, RunOutcome
+import pytest
+
+from codonmachine import BisimVerdict, Divergence, build_codec, parse_spec
 from codonmachine.cli import main
 from codonmachine.corpus import UNARY_ADDER_TEXT, UTM55_CODEC_TEXT
 
@@ -117,13 +119,30 @@ class TestVerify:
         verdict = BisimVerdict(
             passed=False,
             steps=4,
-            outcome=RunOutcome.HALTED,
+            outcome=None,
             divergence=Divergence(4, "head", "4", "2"),
         )
         monkeypatch.setattr(cli_mod, "bisimulate", lambda *a, **k: verdict)
         code, out, _ = run_cli(capsys, "verify", "unary_adder")
         assert code == 5
         assert "DIVERGENCE at step 4" in out
+
+    def test_divergence_structured_outcome_is_null(self, capsys, monkeypatch, tmp_path):
+        import codonmachine.cli as cli_mod
+        from conftest import ONE_RULE_WALKER, corrupt_first_write
+
+        spec = parse_spec(ONE_RULE_WALKER)
+        bad = corrupt_first_write(spec, build_codec(spec))
+        real = cli_mod.bisimulate
+        monkeypatch.setattr(cli_mod, "bisimulate", lambda *a: real(*a, trnas=bad))
+        path = tmp_path / "walker.spec"
+        path.write_text(ONE_RULE_WALKER, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", str(path), "--format", "structured")
+        assert code == 5
+        record = json.loads(out)
+        assert record["passed"] is False
+        assert record["outcome"] is None
+        assert '"outcome": null' in out
 
     def test_nondeterminism_fault_exits_four(self, capsys, monkeypatch):
         import codonmachine.cli as cli_mod
@@ -136,6 +155,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "unary_adder")
         assert code == 4
         assert "nondeterminism" in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_non_positive_budget_exits_one(capsys, command, budget):
+    code, out, err = run_cli(capsys, command, "unary_adder", "--max-steps", budget)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --max-steps must be at least 1")
 
 
 class TestFsm:

@@ -18,7 +18,6 @@ from codonmachine import (
     validate_fsm,
 )
 from codonmachine.corpus import (
-    INCREMENTER_HEAD_CANDIDATES,
     INCREMENTER_TEXT,
     PARITY_TEXT,
     UNARY_ADDER_TEXT,
@@ -145,10 +144,6 @@ class TestCorpus:
 
     def test_parity_lookup(self, corpus):
         assert corpus["parity"].transitions[("B", "1")] == "A"
-
-    def test_incrementer_head_candidates_exposed(self, corpus):
-        assert INCREMENTER_HEAD_CANDIDATES["first_nondefault"] == 2
-        assert corpus["incrementer"].head == 2
 
     def test_utm_alphabet(self, corpus):
         utm = corpus["utm55"]

@@ -6,6 +6,7 @@ from codonmachine import (
     CompileMode,
     MachineSpec,
     Move,
+    Outcome,
     Rule,
     RunOutcome,
     bisimulate,
@@ -13,15 +14,20 @@ from codonmachine import (
     compile_ruleset,
     corpus_codec,
     initial_config,
+    new_sim,
+    parse_machine_spec,
+    run,
     tm_run,
     tm_step,
     validate,
 )
+from codonmachine.cli import main
 
 from conftest import (
     INCREMENTER_FINAL_HEAD,
     INCREMENTER_FINAL_TAPE,
     INCREMENTER_STEPS,
+    ONE_RULE_WALKER,
     UTM_FINAL_HEAD,
     UTM_FINAL_TAPE,
     UTM_HALT_STEPS,
@@ -29,6 +35,7 @@ from conftest import (
     UTM_WINDOW_95_HEAD_MASKED,
     UTM_WINDOW_AFTER_94,
     UTM_WINDOW_AFTER_95,
+    corrupt_first_write,
     random_partial_machine,
     random_total_machine,
 )
@@ -171,6 +178,54 @@ class TestBisimulate:
         assert verdict.passed
         assert verdict.outcome is RunOutcome.HALTED
         assert verdict.steps == 1  # one move, then stuck on 'b'
+
+
+    def test_divergence_reports_no_outcome(self):
+        spec = parse_machine_spec(ONE_RULE_WALKER)
+        codec = build_codec(spec)
+        verdict = bisimulate(spec, codec, trnas=corrupt_first_write(spec, codec))
+        assert not verdict.passed
+        assert verdict.outcome is None
+        assert verdict.divergence.kind == "symbols"
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_bad_budget_rejected(self, adder, adder_codec, budget):
+        with pytest.raises(ValueError):
+            bisimulate(adder, adder_codec, max_steps=budget)
+
+
+BUDGET_CASES = {
+    # q2 has no rule: the machine is stuck exactly at the budget
+    "stuck-at-budget": ("states: q1 q2\nrule: q1 0 1 R q2\ntape: 00\n", Outcome.HALTED),
+    "halt-rule-at-budget": ("states: q1\nrule: q1 0 1 H -\ntape: 00\n", Outcome.HALTED),
+    "step-limit": ("states: q1\nrule: q1 0 1 R q1\ntape: 00\n", Outcome.STEP_LIMIT),
+}
+
+
+class TestBudgetRule:
+    """run, tm_run, bisimulate and the CLI agree on what happens at the budget."""
+
+    @pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+    def test_one_step_budget(self, case, tmp_path, capsys):
+        body, expected = BUDGET_CASES[case]
+        text = f"symbols: 0 1\n{body}default: 0\ninitial: q1\nhead: 0\n"
+        spec = parse_machine_spec(text)
+        codec = build_codec(spec)
+
+        final, _, outcome = run(new_sim(spec, codec), max_steps=1)
+        assert (outcome, final.step_count) == (expected, 1)
+        classical = tm_run(spec, max_steps=1)
+        assert (classical.outcome, classical.steps) == (expected, 1)
+        verdict = bisimulate(spec, codec, max_steps=1)
+        assert verdict.passed, verdict.divergence
+        assert (verdict.outcome, verdict.steps) == (expected, 1)
+
+        path = tmp_path / "machine.spec"
+        path.write_text(text, encoding="utf-8")
+        code = main(["run", str(path), "--max-steps", "1"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == (0 if expected is Outcome.HALTED else 3)
+        assert f"outcome: {expected.value}" in out and "steps: 1" in out
 
 
 class TestFuzz:

@@ -11,6 +11,7 @@ from codonmachine import (
     compile_ruleset,
     corpus_codec,
     decode_tape,
+    iter_run,
     match_window,
     new_sim,
     run,
@@ -188,6 +189,30 @@ class TestRun:
         assert final.step_count == 98
         decoded = decode_tape(final.tape, utm_codec)
         assert decoded.state is None
+
+
+class TestIterRun:
+    def test_yields_each_step_then_the_halt(self, adder_sim):
+        _, trace, _ = run(adder_sim)
+        steps = list(iter_run(adder_sim))
+        assert [e for _, e in steps[:-1]] == trace
+        assert all(after.step_count == e.step for after, e in steps[:-1])
+        last, event = steps[-1]
+        assert event is None and last.halted and last.step_count == 6
+
+    def test_step_limit_ends_without_a_halt(self, adder_sim):
+        steps = list(iter_run(adder_sim, max_steps=2))
+        assert [e.step for _, e in steps] == [1, 2]
+        assert not steps[-1][0].halted
+
+    def test_halted_instance_yields_only_the_halt(self, adder_sim):
+        final, _, _ = run(adder_sim)
+        assert list(iter_run(final)) == [(final, None)]
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_bad_budget(self, adder_sim, budget):
+        with pytest.raises(ValueError):
+            next(iter_run(adder_sim, max_steps=budget))
 
 
 class TestInvariants:
