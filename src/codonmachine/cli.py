@@ -110,9 +110,8 @@ def _check_budget(args) -> None:
         raise _CliFailure(EXIT_SPEC, f"--max-steps must be at least 1, got {args.max_steps}")
 
 
-def _structured_event(e) -> str:
-    """One JSON line of the structured trace."""
-    d = e.decoded_before
+def _structured_event(e, d) -> str:
+    """One JSON line of the structured trace; ``d`` is the tape stepped from."""
     record = {
         "step": e.step,
         "rule": e.rule_id,
@@ -144,9 +143,12 @@ def cmd_run(args) -> int:
     structured = args.format == "structured"
     print(json.dumps(TRACE_FORMAT_HEADER) if structured else final.tape.render())
     try:
-        for final, e in iter_run(final, arrival, args.max_steps):
-            if e is not None:
-                print(_structured_event(e) if structured else _text_event(final, e))
+        for after, e in iter_run(final, arrival, args.max_steps):
+            if e is not None and structured:
+                print(_structured_event(e, decode_tape(final.tape, codec)))
+            elif e is not None:
+                print(_text_event(after, e))
+            final = after
     except NondeterminismFault as e:
         print(f"nondeterminism fault: {e}", file=sys.stderr)
         return EXIT_NONDETERMINISM

@@ -4,7 +4,8 @@ The classical interpreter runs the 5-tuple table over a sparse absolute-
 position tape. The bisimulation runs it side by side with the mechanical
 simulation: before every step the decoded mechanical tape must agree with the
 classical configuration on state, absolute head position, and the symbol
-content of every position either run has touched; both must halt together.
+content of every position either run has touched; on every step both must
+fire a rule or both must halt.
 """
 
 from __future__ import annotations
@@ -127,14 +128,12 @@ class BisimVerdict:
 
 
 def _divergence(
-    spec: MachineSpec, step: int, decoded: DecodedConfig, scan_failed: bool, cfg: ClassicalConfig
+    spec: MachineSpec, step: int, decoded: DecodedConfig, cfg: ClassicalConfig
 ) -> Divergence | None:
     """The first disagreement between the decoded mechanical tape and the
     classical configuration: halting, then every symbol either side holds,
     then state and head. A cell neither holds is the default on both."""
-    # an explicit halt rule leaves no live slot; a stuck machine keeps its
-    # live slot but the instance is flagged halted after the failed scan
-    mech_halted = scan_failed or decoded.state is None
+    mech_halted = decoded.state is None
     cls_halted = cfg.state is None
     if mech_halted != cls_halted:
         return Divergence(step, "halting", str(mech_halted), str(cls_halted))
@@ -174,19 +173,19 @@ def bisimulate(
     cfg = initial_config(spec)
     steps = 0
     for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):
-        # each event carries the decoded tape it stepped from
-        decoded = event.decoded_before if event else decode_tape(sim.tape, codec)
-        divergence = _divergence(spec, steps, decoded, False, cfg)
+        # compare the tape each step started from, then whether both sides fired
+        divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+        fired = _classical_step(table, spec.default_symbol, cfg)
+        if divergence is None and fired != (event is not None):
+            divergence = Divergence(steps, "halting", str(event is None), str(not fired))
         if divergence:
             return BisimVerdict(False, steps, None, divergence)
-        _classical_step(table, spec.default_symbol, cfg)
         sim = after
         steps += event is not None
     if not sim.halted:
         # iter_run stopped at the budget after its halt check found a rule
         _classical_step(table, spec.default_symbol, cfg, probe=True)
-    decoded = decode_tape(sim.tape, codec)
-    divergence = _divergence(spec, steps, decoded, sim.halted, cfg)
-    if divergence:
-        return BisimVerdict(False, steps, None, divergence)
+        divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+        if divergence:
+            return BisimVerdict(False, steps, None, divergence)
     return BisimVerdict(True, steps, Outcome.HALTED if sim.halted else Outcome.STEP_LIMIT)

@@ -23,7 +23,7 @@ from enum import Enum
 
 from .codec import Codec, read_form
 from .machine import MachineSpec
-from .tape import DecodedConfig, EncodedTape, decode_tape, encode_tape, grow
+from .tape import EncodedTape, encode_tape, grow
 from .trna import CompileMode, Side, Trna, compile_ruleset
 
 
@@ -48,7 +48,6 @@ class NondeterminismFault(RuntimeError):
 class SimInstance:
     tape: EncodedTape
     trnas: tuple[Trna, ...]
-    codec: Codec
     default_codon: str
     rng_seed: int | None = None
     step_count: int = 0
@@ -64,7 +63,6 @@ class TraceEvent:
     trials: int
     window_before: str
     window_after: str
-    decoded_before: DecodedConfig
 
 
 def new_sim(
@@ -83,19 +81,30 @@ def new_sim(
     return SimInstance(
         tape=encode_tape(spec, codec),
         trnas=tuple(trnas),
-        codec=codec,
         default_codon=codec.symbol_write[spec.default_symbol],
         rng_seed=rng_seed,
     )
 
 
+def _match(
+    trnas: tuple[Trna, ...], window: tuple[str, str, str]
+) -> tuple[int, Trna, Side] | None:
+    """The first read row, in scan order, equal to the window's fieldwise
+    complement: (scan index, tRNA, side), or None if no row matches. Rows of
+    two rules matching one window raise NondeterminismFault."""
+    key = tuple(read_form(f) for f in window)
+    rows = ((t, side, row) for t in trnas for side, row in t.reads)
+    matches = [(i, t, side) for i, (t, side, row) in enumerate(rows) if row == key]
+    if len({t.rule_id for _, t, _ in matches}) > 1:
+        ids = sorted(t.rule_id for _, t, _ in matches)
+        raise NondeterminismFault(f"rules {ids} all match window {window}")
+    return matches[0] if matches else None
+
+
 def match_window(trna: Trna, window: tuple[str, str, str]) -> Side | None:
     """The side whose read row equals the window's fieldwise complement."""
-    key = tuple(read_form(f) for f in window)
-    for side, row in trna.reads:
-        if row == key:
-            return side
-    return None
+    found = _match((trna,), window)
+    return None if found is None else found[2]
 
 
 def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
@@ -119,10 +128,6 @@ def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
     return replace(sim, tape=tape, step_count=sim.step_count + 1)
 
 
-def _row_pool(sim: SimInstance) -> list[tuple[Trna, Side, tuple[str, str, str]]]:
-    return [(t, side, row) for t in sim.trnas for side, row in t.reads]
-
-
 def step(
     sim: SimInstance, arrival: Arrival = Arrival.DETERMINISTIC
 ) -> tuple[SimInstance, TraceEvent | None]:
@@ -130,29 +135,22 @@ def step(
     if sim.halted:
         raise ValueError("machine already halted")
     window = sim.tape.window_triple()
-    pool = _row_pool(sim)
-    key = tuple(read_form(f) for f in window)
-    matches = [
-        (i, t, side) for i, (t, side, row) in enumerate(pool) if row == key
-    ]
-    if not matches:
+    found = _match(sim.trnas, window)
+    if found is None:
         return replace(sim, halted=True), None
-    if len({t.rule_id for _, t, _ in matches}) > 1:
-        ids = sorted(t.rule_id for _, t, _ in matches)
-        raise NondeterminismFault(f"rules {ids} all match window {window}")
-    scan_index, trna, side = matches[0]
+    scan_index, trna, side = found
     if arrival is Arrival.DETERMINISTIC:
         trials = scan_index + 1
     else:
+        pool_size = sum(len(t.reads) for t in sim.trnas)
         rng = (
             random.Random()
             if sim.rng_seed is None
             else random.Random(sim.rng_seed * 1_000_003 + sim.step_count)
         )
         trials = 1
-        while rng.randrange(len(pool)) != scan_index:
+        while rng.randrange(pool_size) != scan_index:
             trials += 1
-    decoded_before = decode_tape(sim.tape, sim.codec)
     after = apply_trna(trna, sim)
     after = replace(after, trial_count=after.trial_count + trials)
     event = TraceEvent(
@@ -162,7 +160,6 @@ def step(
         trials=trials,
         window_before="_".join(window),
         window_after="_".join(after.tape.window_triple()),
-        decoded_before=decoded_before,
     )
     return after, event
 
@@ -175,9 +172,9 @@ def iter_run(
     """Step until halt or the step budget runs out.
 
     Yields (instance after, event) for each step, then (halted instance, None)
-    if the machine halts. At the budget one more step is tried as a halt
-    check, so a machine that halts exactly there reports the halt; a rule that
-    fires on that check is discarded and the run ends at the step limit. A
+    if the machine halts. At the budget the window is matched once more as a
+    halt check, so a machine that halts exactly there reports the halt; if a
+    rule would fire, nothing is applied and the run ends at the step limit. A
     budget below 1 raises ValueError when iteration starts.
     """
     if max_steps < 1:
@@ -185,10 +182,9 @@ def iter_run(
     if sim.halted:
         yield sim, None
     while not sim.halted:
-        after, event = step(sim, arrival)
-        if event is not None and sim.step_count >= max_steps:
+        if sim.step_count >= max_steps and _match(sim.trnas, sim.tape.window_triple()):
             return
-        sim = after
+        sim, event = step(sim, arrival)
         yield sim, event
 
 

@@ -3,9 +3,20 @@ from pathlib import Path
 
 import pytest
 
-from codonmachine import BisimVerdict, Divergence, build_codec, parse_spec
+from codonmachine import (
+    BisimVerdict,
+    Divergence,
+    build_codec,
+    corpus_codec,
+    decode_tape,
+    iter_run,
+    new_sim,
+    parse_spec,
+)
 from codonmachine.cli import main
 from codonmachine.corpus import UNARY_ADDER_TEXT, UTM55_CODEC_TEXT
+
+from conftest import UTM_FINAL_TAPE, UTM_HALT_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,21 +93,34 @@ class TestRun:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_structured_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "unary_adder", "--format", "structured"
-        )
+    @pytest.mark.parametrize(
+        "name, steps, symbols",
+        [("unary_adder", 6, "001110"), ("utm55", UTM_HALT_STEPS, UTM_FINAL_TAPE)],
+        ids=["unary_adder", "utm55"],
+    )
+    def test_structured_format(self, capsys, corpus, name, steps, symbols):
+        code, out, _ = run_cli(capsys, "run", name, "--format", "structured")
         assert code == 0
         lines = out.splitlines()
         header = json.loads(lines[0])
         assert header == {"format": "codonmachine-trace", "version": 1}
         events = [json.loads(l) for l in lines[1:-1]]
-        assert [e["rule"] for e in events] == [1, 2, 3, 4, 5, 6]
-        assert events[0]["state"] == "q1" and events[0]["head"] == 0
+        spec, codec = corpus[name], corpus_codec(name)
+        assert events[0]["state"] == spec.initial_state
+        assert events[0]["head"] == spec.head
+        # every event shows the decoded instance its step started from
+        expected = []
+        sim = new_sim(spec, codec)
+        for after, event in iter_run(sim):
+            if event is not None:
+                d = decode_tape(sim.tape, codec)
+                expected.append((event.rule_id, d.state, d.head_abs, "".join(d.symbols)))
+            sim = after
+        assert [(e["rule"], e["state"], e["head"], e["symbols"]) for e in events] == expected
         summary = json.loads(lines[-1])
         assert summary["outcome"] == "halted"
-        assert summary["symbols"] == "001110"
-        assert summary["steps"] == 6
+        assert summary["symbols"] == symbols
+        assert summary["steps"] == steps == len(events)
 
 
 class TestVerify:

@@ -127,6 +127,23 @@ class TestTmRun:
         assert r.steps == 10
 
 
+def _one_cell_machine(rule: str) -> str:
+    return (
+        f"symbols: 0 1\nstates: q1\nrule: {rule}\n"
+        "default: 0\ninitial: q1\ntape: 0\nhead: 0\n"
+    )
+
+
+# (spec rule, rule the mechanical side runs instead or None for no tRNA,
+# mechanical halted, classical halted) on the one-cell tape 0
+HALT_MISMATCH_CASES = {
+    # the classical halt rule rewrites the 0 under the head; nothing fires mechanically
+    "mechanical-stuck": ("q1 0 0 H -", None, "True", "False"),
+    # the mechanical side halts by rule where the classical table is stuck
+    "classical-stuck": ("q1 1 1 H -", "q1 0 0 H -", "False", "True"),
+}
+
+
 class TestBisimulate:
     @pytest.mark.parametrize("name", ["incrementer", "unary_adder", "utm55"])
     @pytest.mark.parametrize("mode", [CompileMode.DUAL, CompileMode.INFERRED])
@@ -187,6 +204,20 @@ class TestBisimulate:
         assert not verdict.passed
         assert verdict.outcome is None
         assert verdict.divergence.kind == "symbols"
+
+    @pytest.mark.parametrize("case", sorted(HALT_MISMATCH_CASES))
+    def test_both_sides_fire_or_both_halt(self, case):
+        rule, injected, mechanical, classical = HALT_MISMATCH_CASES[case]
+        spec = parse_machine_spec(_one_cell_machine(rule))
+        codec = build_codec(spec)
+        trnas = []
+        if injected is not None:
+            trnas = compile_ruleset(parse_machine_spec(_one_cell_machine(injected)), codec)
+        verdict = bisimulate(spec, codec, trnas=trnas)
+        assert (verdict.passed, verdict.outcome) == (False, None)
+        d = verdict.divergence
+        assert (d.kind, d.step) == ("halting", 0)
+        assert (d.mechanical, d.classical) == (mechanical, classical)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_bad_budget_rejected(self, adder, adder_codec, budget):

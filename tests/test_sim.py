@@ -1,5 +1,6 @@
 import pytest
 
+import codonmachine.sim as sim_module
 from codonmachine import (
     Arrival,
     CompileMode,
@@ -7,6 +8,7 @@ from codonmachine import (
     Outcome,
     Side,
     apply_trna,
+    build_codec,
     compile_rule,
     compile_ruleset,
     corpus_codec,
@@ -14,11 +16,12 @@ from codonmachine import (
     iter_run,
     match_window,
     new_sim,
+    parse_machine_spec,
     run,
     step,
 )
 
-from conftest import ADDER_TRACE_LINES
+from conftest import ADDER_TRACE_LINES, ONE_RULE_WALKER
 
 BOTH = frozenset({Side.STATE_ON_LEFT, Side.STATE_ON_RIGHT})
 
@@ -84,14 +87,15 @@ class TestApply:
 
 
 class TestStep:
-    def test_first_event(self, adder_sim):
+    def test_first_event(self, adder_sim, adder_codec):
         after, event = step(adder_sim)
         assert event.rule_id == 1
         assert event.side == Side.STATE_ON_LEFT
         assert event.step == 1
         assert event.window_before == "001_01_111"
-        assert event.decoded_before.state == "q1"
-        assert event.decoded_before.head == 0
+        decoded = decode_tape(adder_sim.tape, adder_codec)
+        assert decoded.state == "q1"
+        assert decoded.head == 0
 
     def test_halted_machine_rejects_step(self, adder_sim):
         sim = adder_sim
@@ -213,6 +217,37 @@ class TestIterRun:
     def test_bad_budget(self, adder_sim, budget):
         with pytest.raises(ValueError):
             next(iter_run(adder_sim, max_steps=budget))
+
+
+class TestBudgetCheck:
+    """At the budget iter_run only matches the window; it applies nothing."""
+
+    def test_applies_one_trna_per_step(self, monkeypatch):
+        real = sim_module.apply_trna
+        applied = []
+
+        def counting(trna, sim):
+            applied.append(trna.rule_id)
+            return real(trna, sim)
+
+        monkeypatch.setattr(sim_module, "apply_trna", counting)
+        spec = parse_machine_spec(ONE_RULE_WALKER)
+        final, trace, outcome = run(new_sim(spec, build_codec(spec)), 5)
+        assert outcome is Outcome.STEP_LIMIT
+        assert final.step_count == len(trace) == 5
+        assert applied == [1] * 5
+
+    def test_ambiguity_first_reached_at_the_budget_raises(self):
+        spec = parse_machine_spec(
+            "symbols: 0 1\nstates: q1\nrule: q1 0 0 R q1\nrule: q1 1 1 R q1\n"
+            "default: 0\ninitial: q1\ntape: 01\nhead: 0\n"
+        )
+        codec = build_codec(spec)
+        # a third tRNA sharing rule 2's read rows, which first match on step 2
+        twin = compile_rule(spec.rules[1], 3, codec, BOTH)
+        sim = new_sim(spec, codec, trnas=[*compile_ruleset(spec, codec), twin])
+        with pytest.raises(NondeterminismFault, match=r"rules \[2, 3\]"):
+            run(sim, 1)
 
 
 class TestInvariants:
