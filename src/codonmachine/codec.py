@@ -174,8 +174,8 @@ def build_codec(
         symbol_len = ov.symbol_len
     if ov.state_len is not None:
         state_len = ov.state_len
-    if symbol_len % 2:
-        raise CodecError(f"symbol codon length must be even, got {symbol_len}")
+    if symbol_len < 2 or symbol_len % 2:
+        raise CodecError(f"symbol codon length must be positive and even, got {symbol_len}")
     if state_len < 1:
         raise CodecError(f"state codon length must be positive, got {state_len}")
     if capacity(symbol_len) < len(spec.symbols):

@@ -18,7 +18,7 @@ Four machines exercise every part of the toolkit:
 from __future__ import annotations
 
 from .codec import Codec, CodecOverrides, build_codec, parse_codec_overrides
-from .machine import FsmSpec, MachineSpec, parse_fsm_spec, parse_machine_spec
+from .machine import FsmSpec, MachineSpec, parse_spec
 
 PARITY_TEXT = """\
 symbols: 0 1
@@ -112,24 +112,21 @@ state q5 001110
 
 _CODEC_TEXTS = {"utm55": UTM55_CODEC_TEXT}
 
-_SPEC_TEXTS: dict[str, tuple[str, bool]] = {
-    "parity": (PARITY_TEXT, True),
-    "incrementer": (INCREMENTER_TEXT, False),
-    "unary_adder": (UNARY_ADDER_TEXT, False),
-    "utm55": (UTM55_TEXT, False),
+_SPEC_TEXTS = {
+    "parity": PARITY_TEXT,
+    "incrementer": INCREMENTER_TEXT,
+    "unary_adder": UNARY_ADDER_TEXT,
+    "utm55": UTM55_TEXT,
 }
 
 
 def builtin_corpus() -> dict[str, MachineSpec | FsmSpec]:
     """Parse and return all bundled machines, keyed by name."""
-    out: dict[str, MachineSpec | FsmSpec] = {}
-    for name, (text, is_fsm) in _SPEC_TEXTS.items():
-        out[name] = parse_fsm_spec(text) if is_fsm else parse_machine_spec(text)
-    return out
+    return {name: parse_spec(text) for name, text in _SPEC_TEXTS.items()}
 
 
 def corpus_spec_text(name: str) -> str:
-    return _SPEC_TEXTS[name][0]
+    return _SPEC_TEXTS[name]
 
 
 def corpus_codec_text(name: str) -> str | None:
@@ -144,5 +141,5 @@ def corpus_overrides(name: str) -> CodecOverrides | None:
 
 def corpus_codec(name: str) -> Codec:
     """The codec a bundled machine is meant to run with."""
-    spec = builtin_corpus()[name]
+    spec = parse_spec(corpus_spec_text(name))
     return build_codec(spec, corpus_overrides(name))

@@ -71,26 +71,20 @@ def fsm_run(
 ) -> tuple[str, list[tuple[int, int]]]:
     """Run the compiled stream engine; returns the final state and a
     (position, rule_id) trace entry per input symbol."""
-    trnas = compile_fsm(spec, codec)
+    by_match = {(t.state_match, t.symbol_match): t for t in compile_fsm(spec, codec)}
     state_codon = codec.state_write[spec.initial_state]
     trace: list[tuple[int, int]] = []
     for i, symbol in enumerate(input_symbols):
         if symbol not in codec.symbol_write:
             raise FsmError(f"input position {i}: undeclared symbol {symbol!r}")
-        symbol_codon = codec.symbol_write[symbol]
-        state_key = read_form(state_codon)
-        symbol_key = read_form(symbol_codon)
-        fired = [
-            t
-            for t in trnas
-            if t.state_match == state_key and t.symbol_match == symbol_key
-        ]
-        if not fired:
+        key = (read_form(state_codon), read_form(codec.symbol_write[symbol]))
+        fired = by_match.get(key)
+        if fired is None:
             raise FsmCompileCorruption(
                 f"no tRNA matched state codon {state_codon} on {symbol!r}"
             )
-        trace.append((i, fired[0].rule_id))
-        state_codon = fired[0].new_state
+        trace.append((i, fired.rule_id))
+        state_codon = fired.new_state
     name = codec.state_name(state_codon)
     if name is None:
         raise FsmCompileCorruption(f"final codon {state_codon} names no state")

@@ -175,7 +175,8 @@ def _parse_directives(text: str) -> list[tuple[int, str, str]]:
             continue
         key, sep, value = line.partition(":")
         if not sep:
-            raise SpecSyntaxError("expected 'directive: value'", line_no, len(line) + 1)
+            column = len(raw) - len(raw.lstrip()) + 1
+            raise SpecSyntaxError("expected 'directive: value'", line_no, column)
         out.append((line_no, key.strip(), value.strip()))
     return out
 
@@ -203,125 +204,109 @@ def _parse_rule(value: str, line_no: int) -> Rule:
     return Rule(_name(state), _name(read), _name(write), move, next_state)
 
 
+def _parse_fsm_rule(value: str, line_no: int) -> tuple[str, ...]:
+    tokens = value.split()
+    if len(tokens) != 3:
+        raise SpecSyntaxError(
+            f"fsm-rule needs 3 fields (state symbol new-state), got {len(tokens)}",
+            line_no,
+        )
+    return tuple(_name(t) for t in tokens)
+
+
+# Per rule directive, the kind of spec it makes: the line parser, the
+# single-valued directives in the order missing ones are reported, and the
+# error for the other kind's rule directive.
+_KINDS = {
+    "rule": (
+        _parse_rule,
+        ("symbols", "states", "default", "initial", "tape", "head"),
+        "fsm-rule not allowed in a Turing machine spec",
+    ),
+    "fsm-rule": (
+        _parse_fsm_rule,
+        ("symbols", "states", "initial"),
+        "rule not allowed in an FSM spec",
+    ),
+}
+
+
+def _parse(lines: list[tuple[int, str, str]], rule_key: str) -> MachineSpec | FsmSpec:
+    """The directive pass both spec kinds share; ``rule_key`` names the kind."""
+    parse_line, required, foreign = _KINDS[rule_key]
+    values: dict = {}
+    rules = []
+    for line_no, key, value in lines:
+        if key == rule_key:
+            rules.append(parse_line(value, line_no))
+        elif key in _KINDS:
+            raise SpecSyntaxError(foreign, line_no)
+        elif key not in required:
+            raise SpecSyntaxError(f"unknown directive {key!r}", line_no)
+        elif key in ("symbols", "states"):
+            values[key] = tuple(_name(t) for t in value.split())
+        elif key == "tape":
+            values[key] = _split_tape(value, line_no)
+        elif key == "head":
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise SpecSyntaxError(f"head must be an integer, got {value!r}", line_no)
+        else:
+            values[key] = _name(value)
+    missing = [name for name in required if name not in values]
+    if missing:
+        raise SpecSyntaxError(f"missing directive(s): {', '.join(missing)}", 1)
+    if rule_key == "rule":
+        spec = MachineSpec(
+            symbols=values["symbols"],
+            states=values["states"],
+            rules=tuple(rules),
+            default_symbol=values["default"],
+            initial_state=values["initial"],
+            tape=values["tape"],
+            head=values["head"],
+        )
+        violations = validate(spec)
+    else:
+        transitions: dict[tuple[str, str], str] = {}
+        for state, symbol, new in rules:
+            if (state, symbol) in transitions:
+                raise SpecValidationError(
+                    [f"duplicate fsm-rule for ({state!r}, {symbol!r})"]
+                )
+            transitions[(state, symbol)] = new
+        spec = FsmSpec(
+            symbols=values["symbols"],
+            states=values["states"],
+            transitions=transitions,
+            initial_state=values["initial"],
+        )
+        violations = validate_fsm(spec)
+    if violations:
+        raise SpecValidationError(violations)
+    return spec
+
+
 def parse_machine_spec(text: str) -> MachineSpec:
     """Parse and validate a Turing machine description.
 
     Raises SpecSyntaxError on malformed text and SpecValidationError when an
     invariant fails; the result round-trips through serialize_machine_spec.
     """
-    symbols: tuple[str, ...] | None = None
-    states: tuple[str, ...] | None = None
-    rules: list[Rule] = []
-    default_symbol = initial_state = None
-    tape: tuple[str, ...] | None = None
-    head: int | None = None
-    for line_no, key, value in _parse_directives(text):
-        if key == "symbols":
-            symbols = tuple(_name(t) for t in value.split())
-        elif key == "states":
-            states = tuple(_name(t) for t in value.split())
-        elif key == "rule":
-            rules.append(_parse_rule(value, line_no))
-        elif key == "default":
-            default_symbol = _name(value)
-        elif key == "initial":
-            initial_state = _name(value)
-        elif key == "tape":
-            tape = _split_tape(value, line_no)
-        elif key == "head":
-            try:
-                head = int(value)
-            except ValueError:
-                raise SpecSyntaxError(f"head must be an integer, got {value!r}", line_no)
-        elif key == "fsm-rule":
-            raise SpecSyntaxError("fsm-rule not allowed in a Turing machine spec", line_no)
-        else:
-            raise SpecSyntaxError(f"unknown directive {key!r}", line_no)
-    missing = [
-        name
-        for name, val in [
-            ("symbols", symbols),
-            ("states", states),
-            ("default", default_symbol),
-            ("initial", initial_state),
-            ("tape", tape),
-            ("head", head),
-        ]
-        if val is None
-    ]
-    if missing:
-        raise SpecSyntaxError(f"missing directive(s): {', '.join(missing)}", 1)
-    spec = MachineSpec(
-        symbols=symbols,
-        states=states,
-        rules=tuple(rules),
-        default_symbol=default_symbol,
-        initial_state=initial_state,
-        tape=tape,
-        head=head,
-    )
-    violations = validate(spec)
-    if violations:
-        raise SpecValidationError(violations)
-    return spec
+    return _parse(_parse_directives(text), "rule")
 
 
 def parse_fsm_spec(text: str) -> FsmSpec:
     """Parse and validate an FSM description (fsm-rule lines, no tape)."""
-    symbols: tuple[str, ...] | None = None
-    states: tuple[str, ...] | None = None
-    transitions: dict[tuple[str, str], str] = {}
-    initial_state = None
-    for line_no, key, value in _parse_directives(text):
-        if key == "symbols":
-            symbols = tuple(_name(t) for t in value.split())
-        elif key == "states":
-            states = tuple(_name(t) for t in value.split())
-        elif key == "fsm-rule":
-            tokens = value.split()
-            if len(tokens) != 3:
-                raise SpecSyntaxError(
-                    f"fsm-rule needs 3 fields (state symbol new-state), got {len(tokens)}",
-                    line_no,
-                )
-            state, symbol, new = (_name(t) for t in tokens)
-            if (state, symbol) in transitions:
-                raise SpecValidationError(
-                    [f"duplicate fsm-rule for ({state!r}, {symbol!r})"]
-                )
-            transitions[(state, symbol)] = new
-        elif key == "initial":
-            initial_state = _name(value)
-        elif key == "rule":
-            raise SpecSyntaxError("rule not allowed in an FSM spec", line_no)
-        else:
-            raise SpecSyntaxError(f"unknown directive {key!r}", line_no)
-    missing = [
-        name
-        for name, val in [
-            ("symbols", symbols),
-            ("states", states),
-            ("initial", initial_state),
-        ]
-        if val is None
-    ]
-    if missing:
-        raise SpecSyntaxError(f"missing directive(s): {', '.join(missing)}", 1)
-    spec = FsmSpec(
-        symbols=symbols, states=states, transitions=transitions, initial_state=initial_state
-    )
-    violations = validate_fsm(spec)
-    if violations:
-        raise SpecValidationError(violations)
-    return spec
+    return _parse(_parse_directives(text), "fsm-rule")
 
 
 def parse_spec(text: str) -> MachineSpec | FsmSpec:
     """Parse either kind of spec, dispatching on the rule directive used."""
-    keys = {key for _, key, _ in _parse_directives(text)}
-    if "fsm-rule" in keys:
-        return parse_fsm_spec(text)
-    return parse_machine_spec(text)
+    lines = _parse_directives(text)
+    fsm = any(key == "fsm-rule" for _, key, _ in lines)
+    return _parse(lines, "fsm-rule" if fsm else "rule")
 
 
 def _join_tape(tape: tuple[str, ...]) -> str:

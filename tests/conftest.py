@@ -12,14 +12,16 @@ from codonmachine import (
     corpus_codec,
 )
 
-STATE_POOL = ["qa", "qb", "qc", "qd"]
-SYMBOL_POOL = ["x", "y", "z"]
+STATE_POOL = ["qa", "qb", "qc", "qd", "qe", "qf", "qg", "qh", "qi", "qj"]
+SYMBOL_POOL = ["x", "y", "z", "w", "v", "u"]
 
 
-def random_total_machine(rng: random.Random, max_states=4, max_symbols=3) -> MachineSpec:
+def random_total_machine(
+    rng: random.Random, max_states=4, max_symbols=3, min_states=1, min_symbols=1
+) -> MachineSpec:
     """Random deterministic TM with a total rule table and at least one halt rule."""
-    n_states = rng.randint(1, max_states)
-    n_symbols = rng.randint(1, max_symbols)
+    n_states = rng.randint(min_states, max_states)
+    n_symbols = rng.randint(min_symbols, max_symbols)
     states = tuple(STATE_POOL[:n_states])
     symbols = tuple(SYMBOL_POOL[:n_symbols])
     rules = []

@@ -49,13 +49,19 @@ class TestCompile:
         code, _, err = run_cli(capsys, "compile", "no-such-machine.spec")
         assert code == 1
 
-    def test_bad_codec_exits_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        ["symbol 0 11", "symbol-len 0", "symbol-len -2"],
+        ids=["unbalanced", "len-zero", "len-negative"],
+    )
+    def test_bad_codec_exits_two(self, capsys, tmp_path, line):
         spec = tmp_path / "adder.spec"
         spec.write_text(UNARY_ADDER_TEXT, encoding="utf-8")
         codec = tmp_path / "broken.codec"
-        codec.write_text("symbol 0 11\n", encoding="utf-8")
+        codec.write_text(line + "\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "compile", str(spec), "--codec", str(codec))
         assert code == 2
+        assert err.startswith("error: codec:")
 
     def test_spec_file_with_codec_file(self, capsys, tmp_path):
         spec = tmp_path / "utm.spec"

@@ -10,7 +10,7 @@ from codonmachine import (
     fsm_oracle,
     fsm_run,
 )
-from codonmachine.fsm import FsmError
+from codonmachine.fsm import FsmCompileCorruption, FsmError
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,14 @@ class TestRun:
     def test_corpus_codec_equivalent(self, parity):
         final, _ = fsm_run(parity, "110", corpus_codec("parity"))
         assert final == "A"
+
+    def test_missing_trna_is_corruption(self, parity, parity_codec, monkeypatch):
+        import codonmachine.fsm as fsm_module
+
+        dropped = compile_fsm(parity, parity_codec)[1:]  # no tRNA for (A, 0)
+        monkeypatch.setattr(fsm_module, "compile_fsm", lambda spec, codec: dropped)
+        with pytest.raises(FsmCompileCorruption, match="no tRNA matched"):
+            fsm_run(parity, "0", parity_codec)
 
 
 class TestOracle:

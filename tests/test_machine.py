@@ -92,6 +92,89 @@ class TestParse:
         assert isinstance(parse_spec(PARITY_TEXT), FsmSpec)
         assert isinstance(parse_spec(UNARY_ADDER_TEXT), MachineSpec)
 
+    @pytest.mark.parametrize(
+        "parser, text, message",
+        [
+            pytest.param(
+                parse_machine_spec,
+                "symbols: 0\nfsm-rule: A 0 A\n",
+                "line 2, column 1: fsm-rule not allowed in a Turing machine spec",
+                id="tm-fsm-rule",
+            ),
+            pytest.param(
+                parse_machine_spec,
+                "foo: bar\n",
+                "line 1, column 1: unknown directive 'foo'",
+                id="tm-unknown",
+            ),
+            pytest.param(
+                parse_machine_spec,
+                "head: x\n",
+                "line 1, column 1: head must be an integer, got 'x'",
+                id="tm-head",
+            ),
+            pytest.param(
+                parse_machine_spec,
+                "rule: q1 0 0 X q1\n",
+                "line 1, column 1: bad move 'X', expected L, R or H",
+                id="tm-move",
+            ),
+            pytest.param(
+                parse_machine_spec,
+                "rule: q1 0 0 R -\n",
+                "line 1, column 1: only halt rules may end with '-'",
+                id="tm-dash",
+            ),
+            pytest.param(
+                parse_machine_spec,
+                "tape:\n",
+                "line 1, column 1: empty tape",
+                id="tm-empty-tape",
+            ),
+            pytest.param(
+                parse_machine_spec,
+                "symbols: 0\n",
+                "line 1, column 1: missing directive(s): "
+                "states, default, initial, tape, head",
+                id="tm-missing",
+            ),
+            pytest.param(
+                parse_fsm_spec,
+                "fsm-rule: A 0\n",
+                "line 1, column 1: fsm-rule needs 3 fields (state symbol new-state), got 2",
+                id="fsm-arity",
+            ),
+            pytest.param(
+                parse_fsm_spec,
+                "symbols: 0 1\ntape: 01\n",
+                "line 2, column 1: unknown directive 'tape'",
+                id="fsm-unknown",
+            ),
+            pytest.param(
+                parse_fsm_spec,
+                "fsm-rule: A 0 A\n",
+                "line 1, column 1: missing directive(s): symbols, states, initial",
+                id="fsm-missing",
+            ),
+            pytest.param(
+                parse_spec,
+                "# comment\n",
+                "line 1, column 1: expected 'directive: value'",
+                id="comment-column",
+            ),
+            pytest.param(
+                parse_spec,
+                "symbols: 0\n  states q1\n",
+                "line 2, column 3: expected 'directive: value'",
+                id="indented-column",
+            ),
+        ],
+    )
+    def test_error_message(self, parser, text, message):
+        with pytest.raises(SpecSyntaxError) as info:
+            parser(text)
+        assert str(info.value) == message
+
 
 class TestValidateAsData:
     def test_builtins_valid(self, corpus):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from codonmachine import (
+    CodecOverrides,
     CompileMode,
     MachineSpec,
     Move,
@@ -13,6 +14,7 @@ from codonmachine import (
     build_codec,
     compile_ruleset,
     corpus_codec,
+    enumerate_balanced,
     initial_config,
     new_sim,
     parse_machine_spec,
@@ -277,3 +279,20 @@ class TestFuzz:
                 continue
             verdict = bisimulate(spec, build_codec(spec), max_steps=500)
             assert verdict.passed, (spec, verdict.divergence)
+
+    def test_wide_alphabets_with_overridden_codecs(self):
+        rng = random.Random(5150)
+        for _ in range(20):
+            spec = random_total_machine(
+                rng, max_states=10, max_symbols=6, min_states=7, min_symbols=4
+            )
+            assert validate(spec) == []
+            overrides = CodecOverrides(
+                symbols=dict(zip(spec.symbols, rng.sample(enumerate_balanced(4), 6))),
+                states=dict(zip(spec.states, rng.sample(enumerate_balanced(5), 10))),
+            )
+            codec = build_codec(spec, overrides)
+            assert (codec.state_len, codec.symbol_len) == (5, 4)
+            for mode in (CompileMode.DUAL, CompileMode.INFERRED):
+                verdict = bisimulate(spec, codec, mode, max_steps=500)
+                assert verdict.passed, (spec, overrides, mode, verdict.divergence)
