@@ -50,10 +50,14 @@ class _CliFailure(Exception):
 
 
 def _load_spec(ref: str) -> tuple[MachineSpec | FsmSpec, str | None]:
-    """Resolve a corpus name or file path; returns (spec, corpus_name)."""
-    corpus = builtin_corpus()
-    if ref in corpus:
-        return corpus[ref], ref
+    """Resolve a corpus name or file path; returns (spec, corpus_name). A
+    bundled name wins over a file of the same name."""
+    try:
+        text = corpus_spec_text(ref)
+    except KeyError:  # not bundled: a file path
+        text = None
+    if text is not None:
+        return parse_spec(text), ref
     try:
         with open(ref, encoding="utf-8") as f:
             text = f.read()

@@ -72,13 +72,14 @@ def fsm_run(
     """Run the compiled stream engine; returns the final state and a
     (position, rule_id) trace entry per input symbol."""
     by_match = {(t.state_match, t.symbol_match): t for t in compile_fsm(spec, codec)}
+    symbol_write = codec.symbol_write
+    forms = {c: read_form(c) for c in (*codec.state_write.values(), *symbol_write.values())}
     state_codon = codec.state_write[spec.initial_state]
     trace: list[tuple[int, int]] = []
     for i, symbol in enumerate(input_symbols):
-        if symbol not in codec.symbol_write:
+        if symbol not in symbol_write:
             raise FsmError(f"input position {i}: undeclared symbol {symbol!r}")
-        key = (read_form(state_codon), read_form(codec.symbol_write[symbol]))
-        fired = by_match.get(key)
+        fired = by_match.get((forms.get(state_codon), forms[symbol_write[symbol]]))
         if fired is None:
             raise FsmCompileCorruption(
                 f"no tRNA matched state codon {state_codon} on {symbol!r}"

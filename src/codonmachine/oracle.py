@@ -2,10 +2,11 @@
 
 The classical interpreter runs the 5-tuple table over a sparse absolute-
 position tape. The bisimulation runs it side by side with the mechanical
-simulation: before every step the decoded mechanical tape must agree with the
-classical configuration on state, absolute head position, and the symbol
-content of every position either run has touched; on every step both must
-fire a rule or both must halt.
+simulation. The mechanical tape must agree with the classical configuration
+on state, absolute head position, and the symbol content of every position
+either run has touched, and on every step both must fire a rule or both must
+halt. Whole tapes are decoded and compared only at the start and at the end
+(the halt or the budget); in between, each step is checked where it wrote.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from .codec import Codec, build_codec
 from .machine import MachineSpec, Move, Rule
 from .sim import DEFAULT_MAX_STEPS, Arrival, Outcome, iter_run, new_sim
-from .tape import DecodedConfig, decode_tape
+from .tape import DecodedConfig, EncodedTape, decode_tape
 from .trna import CompileMode, Trna
 
 RunOutcome = Outcome  # the oracle's public name for sim.Outcome
@@ -127,29 +128,54 @@ class BisimVerdict:
     divergence: Divergence | None = None
 
 
-def _divergence(
-    spec: MachineSpec, step: int, decoded: DecodedConfig, cfg: ClassicalConfig
+def _compare(
+    spec: MachineSpec, step: int, cfg: ClassicalConfig, cells, states: list[str], head
 ) -> Divergence | None:
-    """The first disagreement between the decoded mechanical tape and the
-    classical configuration: halting, then every symbol either side holds,
-    then state and head. A cell neither holds is the default on both."""
-    mech_halted = decoded.state is None
-    cls_halted = cfg.state is None
-    if mech_halted != cls_halted:
-        return Divergence(step, "halting", str(mech_halted), str(cls_halted))
-    mech = dict(enumerate(decoded.symbols, start=decoded.origin))
-    for p in sorted(mech.keys() | cfg.symbols.keys()):
-        m = mech.get(p, spec.default_symbol)
+    """The first disagreement with ``cfg``: halting, then ``cells`` ((position,
+    symbol) in order), then the live slots' ``states``, then ``head``."""
+    halted = not states
+    if halted != (cfg.state is None):
+        return Divergence(step, "halting", str(halted), str(cfg.state is None))
+    for p, m in cells:
         c = cfg.symbols.get(p, spec.default_symbol)
         if m != c:
             return Divergence(step, "symbols", f"{p}:{m}", f"{p}:{c}")
-    if mech_halted:
+    if halted:
         return None
-    if decoded.state != cfg.state:
-        return Divergence(step, "state", str(decoded.state), str(cfg.state))
-    if decoded.head_abs != cfg.head:
-        return Divergence(step, "head", str(decoded.head_abs), str(cfg.head))
+    if states != [cfg.state]:
+        return Divergence(step, "state", ",".join(states), str(cfg.state))
+    if head != cfg.head:
+        return Divergence(step, "head", str(head), str(cfg.head))
     return None
+
+
+def _divergence(
+    spec: MachineSpec, step: int, decoded: DecodedConfig, cfg: ClassicalConfig
+) -> Divergence | None:
+    """Compare a whole decoded tape over every position either side holds."""
+    mech, origin, pad = decoded.symbols, decoded.origin, (spec.default_symbol,)
+    lo, hi = min(origin, *cfg.symbols), max(origin + len(mech) - 1, *cfg.symbols)
+    padded = pad * (origin - lo) + mech + pad * (hi + 1 - origin - len(mech))
+    cells = zip(range(lo, hi + 1), padded)
+    states = [] if decoded.state is None else [decoded.state]
+    return _compare(spec, step, cfg, cells, states, decoded.head_abs)
+
+
+def _written_divergence(
+    spec: MachineSpec, codec: Codec, step: int, pos: int, tape: EncodedTape, cfg: ClassicalConfig
+) -> Divergence | None:
+    """Compare what one step wrote on ``tape``: cell ``pos``, the slots on either
+    side, and the cell the window moved onto (which a grow adds), by absolute
+    position, as a left grow shifts indices. Unnamed codons are reported raw."""
+    o, window = tape.origin, tape.origin + tape.window
+    cells = [(p, tape.symbol_cells[p - o]) for p in sorted((pos, window))]
+    cells = [(p, codec.symbol_name(c) or c) for p, c in cells]
+    slots = [(p, tape.state_slots[p - o]) for p in (pos, pos + 1)]
+    live = [(p, codec.state_name(s) or s) for p, s in slots if s != codec.halt_state]
+    head = window
+    if live and live[0][0] not in (window, window + 1):
+        head = f"slot {live[0][0]}, window {window}"
+    return _compare(spec, step, cfg, cells, [name for _, name in live], head)
 
 
 def bisimulate(
@@ -165,27 +191,41 @@ def bisimulate(
     the classical side follows the same budget rule. ``trnas`` substitutes the
     compiled ruleset on the mechanical side only (useful to demonstrate that a
     corrupted compile is caught).
+
+    Whole tapes are compared at the start and at the end: at a halt before
+    the classical side probes for a stuck rule, at the budget after it. Each
+    step in between is checked by induction. If the tape equals the classical
+    configuration and its one live slot flanks the window, every other slot
+    holds the halt codon, so the matched window holds that slot. The write
+    then replaces slot[w], cell[w] and slot[w+1], the only cells a step can
+    change besides a grown default cell, so checking them (and that the one
+    live slot left flanks the new window) keeps the invariant.
     """
     if codec is None:
         codec = build_codec(spec)
     sim = new_sim(spec, codec, mode, trnas=trnas)
     table = _rule_table(spec)
     cfg = initial_config(spec)
-    steps = 0
+    steps, written = 0, None  # absolute position of the cell the last step wrote
+    divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
     for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):
-        # compare the tape each step started from, then whether both sides fired
-        divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+        # check the tape this step starts from, then whether both sides fire
+        if divergence is None and written is not None:
+            divergence = _written_divergence(spec, codec, steps, written, sim.tape, cfg)
+        if divergence is None and event is None:
+            divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
         fired = _classical_step(table, spec.default_symbol, cfg)
         if divergence is None and fired != (event is not None):
             divergence = Divergence(steps, "halting", str(event is None), str(not fired))
         if divergence:
             return BisimVerdict(False, steps, None, divergence)
-        sim = after
+        written, sim = sim.tape.origin + sim.tape.window, after
         steps += event is not None
     if not sim.halted:
         # iter_run stopped at the budget after its halt check found a rule
         _classical_step(table, spec.default_symbol, cfg, probe=True)
-        divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+        divergence = _written_divergence(spec, codec, steps, written, sim.tape, cfg)
+        divergence = divergence or _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
         if divergence:
             return BisimVerdict(False, steps, None, divergence)
     return BisimVerdict(True, steps, Outcome.HALTED if sim.halted else Outcome.STEP_LIMIT)

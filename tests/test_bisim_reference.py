@@ -1,0 +1,202 @@
+"""bisimulate's local checks against a full-compare reference checker.
+
+``reference_bisimulate`` decodes and compares the whole mechanical tape before
+every step, as bisimulate did before it checked only what each step wrote.
+The two must reach the same verdict on seeded machines under seeded
+corruptions of one tRNA, except where the reference cannot decode a tape or
+misreads a live slot that has left the window.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from codonmachine import (
+    CompileMode,
+    Outcome,
+    bisimulate,
+    build_codec,
+    compile_ruleset,
+    corpus_codec,
+    parse_machine_spec,
+    validate,
+)
+from codonmachine import oracle
+from codonmachine.oracle import (
+    BisimVerdict,
+    Divergence,
+    _classical_step,
+    _divergence,
+    _rule_table,
+    initial_config,
+)
+from codonmachine.sim import Arrival, iter_run, new_sim
+from codonmachine.tape import TapeError, decode_tape
+
+from conftest import ONE_RULE_WALKER, random_partial_machine, random_total_machine
+
+
+def reference_bisimulate(spec, codec, mode, max_steps, trnas):
+    """Decode and compare before every step, then check that both sides fire
+    or both halt. A tape that does not decode is reported as the string
+    ``"undecodable at step k"``."""
+    sim = new_sim(spec, codec, mode, trnas=trnas)
+    table = _rule_table(spec)
+    cfg = initial_config(spec)
+    steps = 0
+    for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):
+        try:
+            divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+        except TapeError:
+            return f"undecodable at step {steps}"
+        fired = _classical_step(table, spec.default_symbol, cfg)
+        if divergence is None and fired != (event is not None):
+            divergence = Divergence(steps, "halting", str(event is None), str(not fired))
+        if divergence:
+            return BisimVerdict(False, steps, None, divergence)
+        sim = after
+        steps += event is not None
+    if not sim.halted:
+        _classical_step(table, spec.default_symbol, cfg, probe=True)
+        try:
+            divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+        except TapeError:
+            return f"undecodable at step {steps}"
+        if divergence:
+            return BisimVerdict(False, steps, None, divergence)
+    return BisimVerdict(True, steps, Outcome.HALTED if sim.halted else Outcome.STEP_LIMIT)
+
+
+def _corrupt(rng, codec, trnas):
+    """Replace one written slot or cell of one tRNA by a valid, halt or random
+    codon, flip its hole, or both."""
+    i = rng.randrange(len(trnas))
+    t = trnas[i]
+    what = rng.choice(["field", "hole", "both"])
+    write = list(t.write)
+    if what != "hole":
+        j = rng.randrange(3)
+        n, named = (
+            (codec.symbol_len, codec.symbol_write)
+            if j == 1
+            else (codec.state_len, codec.state_write)
+        )
+        kind = rng.choice(["valid", "halt", "random"])
+        if kind == "valid":
+            write[j] = rng.choice(sorted(named.values()))
+        elif kind == "halt":
+            write[j] = "1" * n
+        else:
+            write[j] = "".join(rng.choice("01") for _ in range(n))
+    hole = t.hole != (what != "field")
+    bad = dataclasses.replace(t, write=tuple(write), hole=hole)
+    return [*trnas[:i], bad, *trnas[i + 1 :]]
+
+
+def _category(new, ref):
+    if new == ref:
+        return "identical"
+    d = new.divergence
+    if isinstance(ref, str) and d is not None and ref == f"undecodable at step {d.step}":
+        return "undecodable"
+    off_window = d is not None and d.kind == "head" and d.mechanical.startswith("slot ")
+    if off_window and isinstance(ref, BisimVerdict):
+        if ref.passed and ref.steps == d.step:
+            return "off-window"
+        if not ref.passed and ref.divergence.step == d.step:
+            return "off-window"
+    return None
+
+
+def test_same_verdicts_as_the_full_compare_reference():
+    rng = random.Random(6006)
+    counts = {"identical": 0, "undecodable": 0, "off-window": 0}
+    cases = 0
+    while cases < 500:
+        make = random_total_machine if cases % 2 else random_partial_machine
+        spec = make(rng)
+        if validate(spec):
+            continue
+        codec = build_codec(spec)
+        mode = rng.choice([CompileMode.DUAL, CompileMode.INFERRED])
+        budget = rng.choice([1, 3, 10, 50, 500])
+        trnas = compile_ruleset(spec, codec, mode)
+        if not trnas:
+            continue
+        trnas = _corrupt(rng, codec, trnas)
+        cases += 1
+        ref = reference_bisimulate(spec, codec, mode, budget, trnas)
+        new = bisimulate(spec, codec, mode, budget, trnas=trnas)
+        category = _category(new, ref)
+        assert category, (spec, mode, budget, trnas, new, ref)
+        counts[category] += 1
+    assert all(counts.values()), counts
+
+
+def test_classical_probe_at_the_budget_comes_first():
+    # the corrupted step parks the mechanical side in q2, which fires on the
+    # 1 where the classical q1 is stuck: at a budget of 1 that is a halting
+    # divergence, as the reference finds, not a state one
+    spec = parse_machine_spec(
+        "symbols: 0 1\nstates: q1 q2\nrule: q1 0 1 R q1\nrule: q2 1 1 R q2\n"
+        "default: 0\ninitial: q1\ntape: 01\nhead: 0\n"
+    )
+    codec = build_codec(spec)
+    trnas = compile_ruleset(spec, codec)
+    slot, cell, _ = trnas[0].write
+    trnas[0] = dataclasses.replace(trnas[0], write=(slot, cell, codec.state_write["q2"]))
+    verdict = bisimulate(spec, codec, max_steps=1, trnas=trnas)
+    assert verdict == reference_bisimulate(spec, codec, CompileMode.DUAL, 1, trnas)
+    assert verdict.divergence == Divergence(1, "halting", "False", "True")
+
+
+def test_whole_tape_decoded_only_at_the_ends(corpus, monkeypatch):
+    calls = []
+
+    def counting_decode(tape, codec):
+        calls.append(tape)
+        return decode_tape(tape, codec)
+
+    monkeypatch.setattr(oracle, "decode_tape", counting_decode)
+    verdict = bisimulate(corpus["utm55"], corpus_codec("utm55"))
+    assert (verdict.passed, verdict.steps) == (True, 98)
+    assert len(calls) == 2
+
+
+def _walker(tape="00"):
+    spec = parse_machine_spec(ONE_RULE_WALKER.replace("tape: 00", f"tape: {tape}"))
+    codec = build_codec(spec)
+    return spec, codec, compile_ruleset(spec, codec)
+
+
+class TestVerdictChanges:
+    """Corrupted compiles the full-compare check passed or crashed on."""
+
+    def test_live_slot_left_behind_is_a_head_divergence(self):
+        spec, codec, (trna,) = _walker("01")
+        bad = [dataclasses.replace(trna, hole=not trna.hole)]
+        verdict = bisimulate(spec, codec, trnas=bad)
+        assert (verdict.passed, verdict.outcome) == (False, None)
+        assert verdict.divergence == Divergence(1, "head", "slot 1, window -1", "1")
+
+    def test_two_live_slots_are_a_state_divergence(self):
+        spec, codec, (trna,) = _walker()
+        q1 = codec.state_write["q1"]
+        bad = [dataclasses.replace(trna, write=(q1, trna.write[1], q1))]
+        verdict = bisimulate(spec, codec, trnas=bad)
+        assert verdict.divergence == Divergence(1, "state", "q1,q1", "q1")
+
+    @pytest.mark.parametrize("slot", ["000", "011"])
+    def test_unnamed_state_codon_is_reported_raw(self, adder, adder_codec, slot):
+        trnas = compile_ruleset(adder, adder_codec)
+        first = trnas[0]  # q1 0 0 R q1
+        bad = dataclasses.replace(first, write=(*first.write[:2], slot))
+        verdict = bisimulate(adder, adder_codec, trnas=[bad, *trnas[1:]])
+        assert verdict.divergence == Divergence(1, "state", slot, "q1")
+
+    def test_unnamed_cell_is_reported_raw(self):
+        spec, codec, (trna,) = _walker()
+        bad = [dataclasses.replace(trna, write=(trna.write[0], "00", trna.write[2]))]
+        verdict = bisimulate(spec, codec, trnas=bad)
+        assert verdict.divergence == Divergence(1, "symbols", "0:00", "0:1")

@@ -27,6 +27,38 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestLoadSpec:
+    """A command resolves its machine without parsing the whole corpus."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "unary_adder"],
+            ["verify", "utm55"],
+            ["compile", "utm55"],
+            ["fsm", "parity", "110"],
+            ["run", "machine.spec"],
+        ],
+    )
+    def test_one_machine_parsed(self, capsys, monkeypatch, tmp_path, argv):
+        import codonmachine.cli as cli_mod
+
+        def whole_corpus():
+            raise AssertionError("builtin_corpus called")
+
+        monkeypatch.setattr(cli_mod, "builtin_corpus", whole_corpus)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "machine.spec").write_text(UNARY_ADDER_TEXT, encoding="utf-8")
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+
+    def test_bundled_name_wins_over_a_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "utm55").write_text("not a spec\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "utm55")
+        assert code == 0 and out.startswith("PASS: 98 lockstep steps")
+
+
 class TestCompile:
     def test_adder_golden(self, capsys):
         code, out, _ = run_cli(capsys, "compile", "unary_adder", "--mode", "inferred")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +91,17 @@ class TestRun:
         monkeypatch.setattr(fsm_module, "compile_fsm", lambda spec, codec: dropped)
         with pytest.raises(FsmCompileCorruption, match="no tRNA matched"):
             fsm_run(parity, "0", parity_codec)
+
+    def test_unnamed_deposit_is_corruption(self, parity, parity_codec, monkeypatch):
+        import codonmachine.fsm as fsm_module
+
+        trnas = compile_fsm(parity, parity_codec)
+        unnamed = "0" * parity_codec.state_len
+        assert parity_codec.state_name(unnamed) is None
+        bad = [t if t.rule_id != 2 else dataclasses.replace(t, new_state=unnamed) for t in trnas]
+        monkeypatch.setattr(fsm_module, "compile_fsm", lambda spec, codec: bad)
+        with pytest.raises(FsmCompileCorruption, match="no tRNA matched"):
+            fsm_run(parity, "10", parity_codec)  # rule 2 is (A, 1)
 
 
 class TestOracle:
