@@ -25,7 +25,7 @@ import json
 import sys
 
 from .codec import CodecError, build_codec, parse_codec_overrides
-from .corpus import builtin_corpus, corpus_codec_text, corpus_spec_text
+from .corpus import builtin_corpus, corpus_codec_text, corpus_overrides, corpus_spec_text
 from .fsm import FsmError, fsm_run
 from .machine import FsmSpec, MachineSpec, SpecError, parse_spec
 from .oracle import bisimulate
@@ -74,10 +74,8 @@ def _load_codec(spec, corpus_name: str | None, codec_path: str | None):
         if codec_path:
             with open(codec_path, encoding="utf-8") as f:
                 overrides = parse_codec_overrides(f.read())
-        elif corpus_name and corpus_codec_text(corpus_name):
-            overrides = parse_codec_overrides(corpus_codec_text(corpus_name))
         else:
-            overrides = None
+            overrides = corpus_overrides(corpus_name) if corpus_name else None
         return build_codec(spec, overrides)
     except OSError as e:
         raise _CliFailure(EXIT_CODEC, f"cannot read codec {codec_path!r}: {e}")
@@ -225,9 +223,8 @@ def cmd_fsm(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    corpus = builtin_corpus()
     if not args.name:
-        for name, spec in sorted(corpus.items()):
+        for name, spec in sorted(builtin_corpus().items()):
             kind = "fsm" if isinstance(spec, FsmSpec) else "tm"
             n_rules = (
                 len(spec.transitions) if isinstance(spec, FsmSpec) else len(spec.rules)
@@ -237,17 +234,17 @@ def cmd_corpus(args) -> int:
                 f"{len(spec.symbols)} symbols, {n_rules} rules"
             )
         return EXIT_OK
-    if args.name not in corpus:
-        raise _CliFailure(EXIT_SPEC, f"no bundled machine named {args.name!r}")
+    try:
+        text = corpus_spec_text(args.name)
+    except KeyError:
+        raise _CliFailure(EXIT_SPEC, f"no bundled machine named {args.name!r}") from None
     if args.part == "codec":
         text = corpus_codec_text(args.name)
         if text is None:
             raise _CliFailure(
                 EXIT_CODEC, f"{args.name!r} uses the default codec; no override file"
             )
-        print(text, end="")
-    else:
-        print(corpus_spec_text(args.name), end="")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -258,9 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, codec=True):
-        if codec:
-            p.add_argument("--codec", help="codec override file")
+    def common(p):
+        p.add_argument("--codec", help="codec override file")
         p.add_argument(
             "--mode",
             choices=["dual", "inferred"],

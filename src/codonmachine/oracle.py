@@ -167,10 +167,10 @@ def _written_divergence(
     """Compare what one step wrote on ``tape``: cell ``pos``, the slots on either
     side, and the cell the window moved onto (which a grow adds), by absolute
     position, as a left grow shifts indices. Unnamed codons are reported raw."""
-    o, window = tape.origin, tape.origin + tape.window
-    cells = [(p, tape.symbol_cells[p - o]) for p in sorted((pos, window))]
+    window = tape.window_abs
+    cells = [(p, tape.cell_at(p)) for p in sorted((pos, window))]
     cells = [(p, codec.symbol_name(c) or c) for p, c in cells]
-    slots = [(p, tape.state_slots[p - o]) for p in (pos, pos + 1)]
+    slots = [(p, tape.slot_at(p)) for p in (pos, pos + 1)]
     live = [(p, codec.state_name(s) or s) for p, s in slots if s != codec.halt_state]
     head = window
     if live and live[0][0] not in (window, window + 1):
@@ -219,7 +219,7 @@ def bisimulate(
             divergence = Divergence(steps, "halting", str(event is None), str(not fired))
         if divergence:
             return BisimVerdict(False, steps, None, divergence)
-        written, sim = sim.tape.origin + sim.tape.window, after
+        written, sim = sim.tape.window_abs, after
         steps += event is not None
     if not sim.halted:
         # iter_run stopped at the budget after its halt check found a rule

@@ -109,21 +109,10 @@ def match_window(trna: Trna, window: tuple[str, str, str]) -> Side | None:
 
 def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
     """Push the write row down over the window, then shift the window."""
-    tape = sim.tape
-    w = tape.window
-    slots = list(tape.state_slots)
-    cells = list(tape.symbol_cells)
-    slots[w], cells[w], slots[w + 1] = trna.write
-    new_window = w - 1 if trna.hole else w + 1
-    tape = replace(
-        tape,
-        state_slots=tuple(slots),
-        symbol_cells=tuple(cells),
-        window=new_window,
-    )
-    if new_window < 0:
+    tape = sim.tape.write(trna.write, -1 if trna.hole else 1)
+    if tape.window < 0:
         tape = grow(tape, "left", sim.default_codon)
-    elif new_window >= len(tape.symbol_cells):
+    elif tape.window >= tape.cell_count:
         tape = grow(tape, "right", sim.default_codon)
     return replace(sim, tape=tape, step_count=sim.step_count + 1)
 

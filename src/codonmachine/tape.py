@@ -1,12 +1,13 @@
-"""Encoded tapes: alternating state slots and symbol cells.
+"""Encoded tapes: one strand of state slots alternating with symbol cells.
 
-A tape of n symbols encodes as n symbol cells (write codons) interleaved with
-n+1 state slots, starting and ending with a slot. Slot i sits immediately left
-of cell i. Every slot holds the halt codon except at most one, which carries
-the live state. The ``window`` is the index of the symbol cell the machine
-will read next; its triple is (slot[window], cell[window], slot[window+1]).
+``EncodedTape(fields, window, origin)`` stores a tape of n symbols as 2n+1
+fields, slot, cell, slot, ..., cell, slot: cell i is field 2i+1 and slot i,
+immediately left of it, is field 2i. Every slot holds the halt codon except at
+most one, which carries the live state. The ``window`` is the index of the
+symbol cell the machine will read next; its triple is fields 2w to 2w+2.
 ``origin`` maps cell 0 to an absolute position so grown tapes stay aligned
-with a classical run.
+with a classical run. Only this module indexes the strand; ``state_slots`` and
+``symbol_cells`` are O(n) copies for decoding and inspection, not for a step.
 
 Rendered form: all fields joined with underscores, e.g.
 ``001_01_111_10_111``.
@@ -14,7 +15,7 @@ Rendered form: all fields joined with underscores, e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 from .codec import Codec
@@ -27,29 +28,51 @@ class TapeError(ValueError):
 
 @dataclass(frozen=True)
 class EncodedTape:
-    state_slots: tuple[str, ...]
-    symbol_cells: tuple[str, ...]
+    fields: tuple[str, ...]
     window: int
     origin: int = 0
 
     def __post_init__(self):
-        if len(self.state_slots) != len(self.symbol_cells) + 1:
-            raise TapeError(
-                f"{len(self.state_slots)} slots cannot frame "
-                f"{len(self.symbol_cells)} cells"
-            )
+        if len(self.fields) % 2 == 0:
+            raise TapeError(f"{len(self.fields)} fields cannot frame cells between slots")
+
+    @property
+    def state_slots(self) -> tuple[str, ...]:
+        return self.fields[0::2]
+
+    @property
+    def symbol_cells(self) -> tuple[str, ...]:
+        return self.fields[1::2]
+
+    @property
+    def cell_count(self) -> int:
+        return len(self.fields) // 2
+
+    @property
+    def window_abs(self) -> int:
+        return self.origin + self.window
+
+    def cell_at(self, pos: int) -> str:
+        return self.fields[2 * (pos - self.origin) + 1]
+
+    def slot_at(self, pos: int) -> str:
+        """The slot immediately left of the cell at absolute position ``pos``."""
+        return self.fields[2 * (pos - self.origin)]
 
     def render(self) -> str:
-        fields = []
-        for slot, cell in zip(self.state_slots, self.symbol_cells):
-            fields.append(slot)
-            fields.append(cell)
-        fields.append(self.state_slots[-1])
-        return "_".join(fields)
+        return "_".join(self.fields)
 
     def window_triple(self) -> tuple[str, str, str]:
-        w = self.window
-        return (self.state_slots[w], self.symbol_cells[w], self.state_slots[w + 1])
+        w = 2 * self.window
+        return self.fields[w : w + 3]
+
+    def write(self, row: tuple[str, str, str], shift: int) -> EncodedTape:
+        """Replace the window's three fields with ``row``, then move the window
+        ``shift`` cells. A window moved past either end waits for ``grow``."""
+        slot, cell, next_slot = row
+        w = 2 * self.window
+        fields = self.fields[:w] + (slot, cell, next_slot) + self.fields[w + 3 :]
+        return EncodedTape(fields, self.window + shift, self.origin)
 
 
 @dataclass(frozen=True)
@@ -72,36 +95,24 @@ def encode_tape(spec: MachineSpec, codec: Codec) -> EncodedTape:
     if not spec.tape:
         raise TapeError("cannot encode an empty tape: no head cell")
     try:
-        cells = tuple(codec.symbol_write[s] for s in spec.tape)
+        cells = [codec.symbol_write[s] for s in spec.tape]
     except KeyError as e:
         raise TapeError(f"tape symbol {e.args[0]!r} has no codon") from None
     if spec.initial_state not in codec.state_write:
         raise TapeError(f"initial state {spec.initial_state!r} has no codon")
-    halt = codec.halt_state
-    slots = [halt] * (len(cells) + 1)
-    slots[spec.head] = codec.state_write[spec.initial_state]
-    return EncodedTape(
-        state_slots=tuple(slots), symbol_cells=cells, window=spec.head, origin=0
-    )
+    fields = [codec.halt_state] * (2 * len(cells) + 1)
+    fields[1::2] = cells
+    fields[2 * spec.head] = codec.state_write[spec.initial_state]
+    return EncodedTape(tuple(fields), window=spec.head, origin=0)
 
 
 def grow(tape: EncodedTape, side: Literal["left", "right"], default_codon: str) -> EncodedTape:
     """Extend by one default-symbol cell plus one halt slot on the given side."""
-    halt = "1" * len(tape.state_slots[0])
+    halt = "1" * len(tape.fields[0])
     if side == "right":
-        return replace(
-            tape,
-            state_slots=tape.state_slots + (halt,),
-            symbol_cells=tape.symbol_cells + (default_codon,),
-        )
+        return EncodedTape(tape.fields + (default_codon, halt), tape.window, tape.origin)
     if side == "left":
-        return replace(
-            tape,
-            state_slots=(halt,) + tape.state_slots,
-            symbol_cells=(default_codon,) + tape.symbol_cells,
-            window=tape.window + 1,
-            origin=tape.origin - 1,
-        )
+        return EncodedTape((halt, default_codon) + tape.fields, tape.window + 1, tape.origin - 1)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -119,7 +130,8 @@ def decode_tape(tape: EncodedTape, codec: Codec) -> DecodedConfig:
             raise TapeError(f"cell {i}: {cell} decodes to no known symbol")
         symbols.append(name)
     halt = codec.halt_state
-    live = [i for i, slot in enumerate(tape.state_slots) if slot != halt]
+    slots = tape.state_slots
+    live = [i for i, slot in enumerate(slots) if slot != halt]
     if not live:
         return DecodedConfig(
             symbols=tuple(symbols), state=None, head=None, origin=tape.origin
@@ -127,17 +139,17 @@ def decode_tape(tape: EncodedTape, codec: Codec) -> DecodedConfig:
     if len(live) > 1:
         raise TapeError(f"more than one live state slot: {live}")
     slot_index = live[0]
-    state = codec.state_name(tape.state_slots[slot_index])
+    state = codec.state_name(slots[slot_index])
     if state is None:
         raise TapeError(
-            f"slot {slot_index}: {tape.state_slots[slot_index]} decodes to no known state"
+            f"slot {slot_index}: {slots[slot_index]} decodes to no known state"
         )
     if tape.window in (slot_index - 1, slot_index):
         head = tape.window
     else:
         head = slot_index
-    if not 0 <= head < len(tape.symbol_cells):
-        head = slot_index - 1 if slot_index == len(tape.symbol_cells) else slot_index
+    if not 0 <= head < tape.cell_count:
+        head = slot_index - 1 if slot_index == tape.cell_count else slot_index
     return DecodedConfig(
         symbols=tuple(symbols), state=state, head=head, origin=tape.origin
     )

@@ -19,12 +19,22 @@ from codonmachine.corpus import UNARY_ADDER_TEXT, UTM55_CODEC_TEXT
 from conftest import UTM_FINAL_TAPE, UTM_HALT_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
+TRANSCRIPTS = json.loads((GOLDEN / "cli" / "commands.json").read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(TRANSCRIPTS))
+def test_transcript(capsys, name):
+    """stdout and exit code of each command in commands.json, byte for byte."""
+    entry = TRANSCRIPTS[name]
+    code, out, _ = run_cli(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert out.encode("utf-8") == (GOLDEN / entry["stdout"]).read_bytes()
 
 
 class TestLoadSpec:
@@ -38,6 +48,8 @@ class TestLoadSpec:
             ["compile", "utm55"],
             ["fsm", "parity", "110"],
             ["run", "machine.spec"],
+            ["corpus", "utm55"],
+            ["corpus", "utm55", "--part", "codec"],
         ],
     )
     def test_one_machine_parsed(self, capsys, monkeypatch, tmp_path, argv):

@@ -77,7 +77,7 @@ class TestEncode:
 
 def one_cell_tape():
     # 001_01_111: a single default-0 cell with q1 parked on its left
-    return EncodedTape(state_slots=("001", "111"), symbol_cells=("01",), window=0)
+    return EncodedTape(fields=("001", "01", "111"), window=0)
 
 
 class TestGrow:
@@ -94,6 +94,14 @@ class TestGrow:
         assert after.symbols == ("0",) + before.symbols
         assert after.head_abs == before.head_abs
         assert grown.origin == -1
+
+    def test_reads_by_absolute_position_after_left_grow(self):
+        grown = grow(one_cell_tape(), "left", "10")
+        assert (grown.origin, grown.window, grown.window_abs) == (-1, 1, 0)
+        assert [grown.cell_at(p) for p in (-1, 0)] == ["10", "01"]
+        assert [grown.slot_at(p) for p in (-1, 0, 1)] == ["111", "001", "111"]
+        assert grown.window_triple() == ("001", "01", "111")
+        assert grown.cell_count == 2
 
     def test_forty_right_growths(self, adder_codec):
         tape = one_cell_tape()
@@ -119,45 +127,33 @@ class TestDecode:
 
     def test_final_adder_all_halt(self, adder_codec):
         fields = ADDER_TRACE_LINES[-1].split("_")
-        tape = EncodedTape(
-            state_slots=tuple(fields[0::2]),
-            symbol_cells=tuple(fields[1::2]),
-            window=1,
-        )
+        tape = EncodedTape(fields=tuple(fields), window=1)
         decoded = decode_tape(tape, adder_codec)
         assert "".join(decoded.symbols) == "001110"
         assert decoded.state is None
         assert decoded.head is None
 
     def test_two_live_slots_rejected(self, adder_codec):
-        tape = EncodedTape(
-            state_slots=("001", "010", "111"),
-            symbol_cells=("01", "10"),
-            window=0,
-        )
+        tape = EncodedTape(fields=("001", "01", "010", "10", "111"), window=0)
         with pytest.raises(TapeError, match="more than one"):
             decode_tape(tape, adder_codec)
 
     def test_unknown_codon_rejected(self, adder_codec):
-        tape = EncodedTape(state_slots=("001", "111"), symbol_cells=("11",), window=0)
+        tape = EncodedTape(fields=("001", "11", "111"), window=0)
         with pytest.raises(TapeError, match="no known symbol"):
             decode_tape(tape, adder_codec)
 
     def test_state_right_of_window(self, adder_codec):
         # live slot 1, window 0: the machine faces cell 0 with the state on
         # its right (the parked position after a left move)
-        tape = EncodedTape(
-            state_slots=("111", "100", "111"),
-            symbol_cells=("01", "10"),
-            window=0,
-        )
+        tape = EncodedTape(fields=("111", "01", "100", "10", "111"), window=0)
         decoded = decode_tape(tape, adder_codec)
         assert decoded.state == "q3"
         assert decoded.head == 0
 
     def test_slot_shape_enforced(self):
         with pytest.raises(TapeError, match="slots"):
-            EncodedTape(state_slots=("111",), symbol_cells=("01",), window=0)
+            EncodedTape(fields=("111", "01"), window=0)
 
 
 class TestRoundTrip:
