@@ -7,24 +7,34 @@ right, growing the tape with default-symbol cells as needed. When nothing
 matches -- every slot around the head holds the halt codon -- the machine has
 halted.
 
+Matching is one dict lookup: each instance carries a ``WindowIndex``, built
+once from its tRNAs, that maps the complement of every read row (the window
+that row locks onto) to the row's scan position, tRNA and side. A step is
+then O(1): one lookup, one write, at most one grow at the edge the window
+crossed.
+
 Arrival order is either deterministic (scan the pool in order, trials = scan
 position of the match) or stochastic (sample read rows uniformly with
 replacement until the match arrives, trials = number of draws). The sampling
 pool is the individual read rows, so a dual-compiled ruleset of 25 records
-offers 50 arrivals.
+offers 50 arrivals. The number of draws is Geometric(1/pool), so it is taken
+in one inverse-CDF draw rather than by drawing rows one by one.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .codec import Codec, read_form
 from .machine import MachineSpec
 from .tape import EncodedTape, encode_tape, grow
 from .trna import CompileMode, Side, Trna, compile_ruleset
+
+Window = tuple[str, str, str]
 
 
 class Arrival(Enum):
@@ -44,6 +54,37 @@ class NondeterminismFault(RuntimeError):
     """Two distinct tRNA matched one window; the compile is corrupt."""
 
 
+class WindowIndex:
+    """The read rows of ``trnas`` by the window each one matches.
+
+    ``rows`` maps a window to the first read row, in scan order, that equals
+    its fieldwise complement: (scan index, tRNA, side). A window that rows of
+    two rules match is recorded in ``clashes`` and raises NondeterminismFault
+    when it is looked up, not when the index is built. ``pool`` counts the
+    read rows.
+    """
+
+    __slots__ = ("trnas", "rows", "clashes", "pool")
+
+    def __init__(self, trnas: tuple[Trna, ...]):
+        self.trnas = trnas
+        self.rows: dict[Window, tuple[int, Trna, Side]] = {}
+        rule_ids: dict[Window, list[int]] = {}
+        scan = ((t, side, row) for t in trnas for side, row in t.reads)
+        for i, (t, side, row) in enumerate(scan):
+            window = tuple(read_form(f) for f in row)
+            self.rows.setdefault(window, (i, t, side))
+            rule_ids.setdefault(window, []).append(t.rule_id)
+        self.clashes = {w: sorted(ids) for w, ids in rule_ids.items() if len(set(ids)) > 1}
+        self.pool = sum(len(t.reads) for t in trnas)
+
+    def match(self, window: Window) -> tuple[int, Trna, Side] | None:
+        found = self.rows.get(window)
+        if self.clashes and window in self.clashes:
+            raise NondeterminismFault(f"rules {self.clashes[window]} all match window {window}")
+        return found
+
+
 @dataclass(frozen=True)
 class SimInstance:
     tape: EncodedTape
@@ -53,6 +94,12 @@ class SimInstance:
     step_count: int = 0
     trial_count: int = 0
     halted: bool = False
+    # derived from trnas; rebuilt whenever it was built for another tuple
+    index: WindowIndex | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.index is None or self.index.trnas is not self.trnas:
+            object.__setattr__(self, "index", WindowIndex(self.trnas))
 
 
 @dataclass(frozen=True)
@@ -86,24 +133,9 @@ def new_sim(
     )
 
 
-def _match(
-    trnas: tuple[Trna, ...], window: tuple[str, str, str]
-) -> tuple[int, Trna, Side] | None:
-    """The first read row, in scan order, equal to the window's fieldwise
-    complement: (scan index, tRNA, side), or None if no row matches. Rows of
-    two rules matching one window raise NondeterminismFault."""
-    key = tuple(read_form(f) for f in window)
-    rows = ((t, side, row) for t in trnas for side, row in t.reads)
-    matches = [(i, t, side) for i, (t, side, row) in enumerate(rows) if row == key]
-    if len({t.rule_id for _, t, _ in matches}) > 1:
-        ids = sorted(t.rule_id for _, t, _ in matches)
-        raise NondeterminismFault(f"rules {ids} all match window {window}")
-    return matches[0] if matches else None
-
-
-def match_window(trna: Trna, window: tuple[str, str, str]) -> Side | None:
+def match_window(trna: Trna, window: Window) -> Side | None:
     """The side whose read row equals the window's fieldwise complement."""
-    found = _match((trna,), window)
+    found = WindowIndex((trna,)).match(tuple(window))
     return None if found is None else found[2]
 
 
@@ -114,7 +146,19 @@ def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
         tape = grow(tape, "left", sim.default_codon)
     elif tape.window >= tape.cell_count:
         tape = grow(tape, "right", sim.default_codon)
-    return replace(sim, tape=tape, step_count=sim.step_count + 1)
+    return SimInstance(tape, sim.trnas, sim.default_codon, sim.rng_seed,
+                       sim.step_count + 1, sim.trial_count, sim.halted, sim.index)
+
+
+def _stochastic_trials(sim: SimInstance) -> int:
+    """Draws, with replacement from the read-row pool, until the matching row
+    arrives: Geometric(1/pool), by one inverse-CDF draw seeded per step."""
+    pool = sim.index.pool
+    if pool <= 1:
+        return 1
+    seed = sim.rng_seed
+    rng = random if seed is None else random.Random(seed * 1_000_003 + sim.step_count)
+    return 1 + int(math.log(1.0 - rng.random()) / math.log1p(-1.0 / pool))
 
 
 def step(
@@ -124,24 +168,15 @@ def step(
     if sim.halted:
         raise ValueError("machine already halted")
     window = sim.tape.window_triple()
-    found = _match(sim.trnas, window)
+    found = sim.index.match(window)
     if found is None:
-        return replace(sim, halted=True), None
+        return SimInstance(sim.tape, sim.trnas, sim.default_codon, sim.rng_seed,
+                           sim.step_count, sim.trial_count, True, sim.index), None
     scan_index, trna, side = found
-    if arrival is Arrival.DETERMINISTIC:
-        trials = scan_index + 1
-    else:
-        pool_size = sum(len(t.reads) for t in sim.trnas)
-        rng = (
-            random.Random()
-            if sim.rng_seed is None
-            else random.Random(sim.rng_seed * 1_000_003 + sim.step_count)
-        )
-        trials = 1
-        while rng.randrange(pool_size) != scan_index:
-            trials += 1
+    trials = scan_index + 1 if arrival is Arrival.DETERMINISTIC else _stochastic_trials(sim)
     after = apply_trna(trna, sim)
-    after = replace(after, trial_count=after.trial_count + trials)
+    after = SimInstance(after.tape, after.trnas, after.default_codon, after.rng_seed,
+                        after.step_count, after.trial_count + trials, after.halted, after.index)
     event = TraceEvent(
         step=after.step_count,
         rule_id=trna.rule_id,
@@ -171,7 +206,7 @@ def iter_run(
     if sim.halted:
         yield sim, None
     while not sim.halted:
-        if sim.step_count >= max_steps and _match(sim.trnas, sim.tape.window_triple()):
+        if sim.step_count >= max_steps and sim.index.match(sim.tape.window_triple()):
             return
         sim, event = step(sim, arrival)
         yield sim, event

@@ -1,13 +1,29 @@
 """Encoded tapes: one strand of state slots alternating with symbol cells.
 
-``EncodedTape(fields, window, origin)`` stores a tape of n symbols as 2n+1
+``EncodedTape(fields, window, origin)`` describes a tape of n symbols as 2n+1
 fields, slot, cell, slot, ..., cell, slot: cell i is field 2i+1 and slot i,
 immediately left of it, is field 2i. Every slot holds the halt codon except at
 most one, which carries the live state. The ``window`` is the index of the
 symbol cell the machine will read next; its triple is fields 2w to 2w+2.
 ``origin`` maps cell 0 to an absolute position so grown tapes stay aligned
-with a classical run. Only this module indexes the strand; ``state_slots`` and
-``symbol_cells`` are O(n) copies for decoding and inspection, not for a step.
+with a classical run. Only this module indexes the strand.
+
+The strand is stored as a persistent zipper: the window triple, two stacks of
+nested pairs ``(field, rest)`` holding the fields left and right of the
+window, nearest first, and the tuple the tape was built from, for the fields
+no move has reached yet. Tapes never change, and each one shares all but a
+few fields with the tape it was made from. Costs, for a tape of n cells:
+
+* O(1): ``write`` with a shift of -1, 0 or 1, ``grow`` at the edge the window
+  has just crossed, ``window_triple``, ``window``, ``origin``,
+  ``cell_count`` and ``window_abs``;
+* O(distance from the window): ``cell_at`` and ``slot_at``;
+* O(n) once per tape, then cached: ``fields``; ``state_slots``,
+  ``symbol_cells``, ``render``, equality and hashing read it;
+* O(n) per call: ``grow`` away from the window, and ``write`` with another
+  shift or on a tape whose window is off the strand. Such a window exists
+  only between a move past an edge and its ``grow``, or on a hand-built
+  tape, and every read of that tape goes through ``fields``.
 
 Rendered form: all fields joined with underscores, e.g.
 ``001_01_111_10_111``.
@@ -26,15 +42,66 @@ class TapeError(ValueError):
     """Encoding or decoding failure."""
 
 
-@dataclass(frozen=True)
 class EncodedTape:
-    fields: tuple[str, ...]
-    window: int
-    origin: int = 0
+    """An immutable encoded tape, equal, hashed and printed by its fields,
+    window and origin, whatever history built it.
 
-    def __post_init__(self):
-        if len(self.fields) % 2 == 0:
-            raise TapeError(f"{len(self.fields)} fields cannot frame cells between slots")
+    ``_zipper`` is (triple, left, right, base, lb, rb). Left of the window lie
+    ``base[:lb]`` and then the left stack; right of it, the right stack and
+    then ``base[rb:]``. A window just moved off the strand keeps the slot it
+    crossed in its triple, and None for the two fields ``grow`` adds there.
+    """
+
+    __slots__ = ("_window", "_origin", "_cells", "_zipper", "_fields")
+
+    def __init__(self, fields: tuple[str, ...], window: int, origin: int = 0):
+        fields = tuple(fields)
+        if len(fields) % 2 == 0:
+            raise TapeError(f"{len(fields)} fields cannot frame cells between slots")
+        cells, w = len(fields) // 2, 2 * window
+        triple = fields[w : w + 3] if 0 <= window < cells else None
+        self._fields = fields
+        self._window, self._origin, self._cells = window, origin, cells
+        self._zipper = (triple, None, None, fields, w, w + 3)
+
+    def __reduce__(self):  # by value: the stacks may nest too deep to recurse
+        return EncodedTape, (self.fields, self.window, self.origin)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fields, self.window, self.origin) == (other.fields, other.window, other.origin)
+
+    def __hash__(self):
+        return hash((self.fields, self.window, self.origin))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(fields={self.fields!r}, "
+                f"window={self.window!r}, origin={self.origin!r})")
+
+    @property
+    def window(self) -> int:
+        return self._window
+
+    @property
+    def origin(self) -> int:
+        return self._origin
+
+    @property
+    def cell_count(self) -> int:
+        return self._cells
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        try:
+            return self._fields
+        except AttributeError:
+            pass
+        triple, left, right, base, lb, rb = self._zipper
+        middle = tuple(f for f in triple if f is not None)
+        fields = base[:lb] + _unstack(left)[::-1] + middle + _unstack(right) + base[rb:]
+        self._fields = fields
+        return fields
 
     @property
     def state_slots(self) -> tuple[str, ...]:
@@ -45,24 +112,44 @@ class EncodedTape:
         return self.fields[1::2]
 
     @property
-    def cell_count(self) -> int:
-        return len(self.fields) // 2
-
-    @property
     def window_abs(self) -> int:
         return self.origin + self.window
 
+    def _field(self, f: int) -> str:
+        """Field ``f`` of the strand, walking the stack on its side of the
+        window; an index off the strand reads as a tuple index would."""
+        w, cells = 2 * self._window, self._cells
+        if not (0 <= w < 2 * cells and 0 <= f <= 2 * cells):
+            return self.fields[f]
+        triple, left, right, base, lb, rb = self._zipper
+        if w <= f <= w + 2:
+            return triple[f - w]
+        if f < w:
+            depth, stack = w - f, left
+            if depth > w - lb:  # past the fields on the stack
+                return base[f]
+        else:
+            depth, stack = f - w - 2, right
+            held = 2 * cells - w - 2 - (len(base) - rb)
+            if depth > held:
+                return base[rb + depth - held - 1]
+        for _ in range(depth - 1):
+            stack = stack[1]
+        return stack[0]
+
     def cell_at(self, pos: int) -> str:
-        return self.fields[2 * (pos - self.origin) + 1]
+        return self._field(2 * (pos - self.origin) + 1)
 
     def slot_at(self, pos: int) -> str:
         """The slot immediately left of the cell at absolute position ``pos``."""
-        return self.fields[2 * (pos - self.origin)]
+        return self._field(2 * (pos - self.origin))
 
     def render(self) -> str:
         return "_".join(self.fields)
 
     def window_triple(self) -> tuple[str, str, str]:
+        if 0 <= self._window < self._cells:
+            return self._zipper[0]
         w = 2 * self.window
         return self.fields[w : w + 3]
 
@@ -70,9 +157,48 @@ class EncodedTape:
         """Replace the window's three fields with ``row``, then move the window
         ``shift`` cells. A window moved past either end waits for ``grow``."""
         slot, cell, next_slot = row
-        w = 2 * self.window
-        fields = self.fields[:w] + (slot, cell, next_slot) + self.fields[w + 3 :]
-        return EncodedTape(fields, self.window + shift, self.origin)
+        w, cells = self._window, self._cells
+        if not 0 <= w < cells or shift not in (-1, 0, 1):
+            f, fields = 2 * w, self.fields
+            return EncodedTape(fields[:f] + (slot, cell, next_slot) + fields[f + 3 :],
+                               w + shift, self.origin)
+        _, left, right, base, lb, rb = self._zipper
+        if shift == 1:
+            left = (cell, (slot, left))
+            if w + 1 == cells:
+                triple = (next_slot, None, None)
+            elif right is None:
+                triple, rb = (next_slot, base[rb], base[rb + 1]), rb + 2
+            else:
+                near, (far, right) = right
+                triple = (next_slot, near, far)
+        elif shift == -1:
+            right = (cell, (next_slot, right))
+            if w == 0:
+                triple = (None, None, slot)
+            elif left is None:
+                triple, lb = (base[lb - 2], base[lb - 1], slot), lb - 2
+            else:
+                near, (far, left) = left
+                triple = (far, near, slot)
+        else:
+            triple = (slot, cell, next_slot)
+        return _zipped(w + shift, self._origin, cells, (triple, left, right, base, lb, rb))
+
+
+def _unstack(stack) -> tuple[str, ...]:
+    """The fields of a stack of nested pairs, top first."""
+    fields = []
+    while stack is not None:
+        field, stack = stack
+        fields.append(field)
+    return tuple(fields)
+
+
+def _zipped(window: int, origin: int, cells: int, zipper: tuple) -> EncodedTape:
+    tape = object.__new__(EncodedTape)
+    tape._window, tape._origin, tape._cells, tape._zipper = window, origin, cells, zipper
+    return tape
 
 
 @dataclass(frozen=True)
@@ -107,12 +233,22 @@ def encode_tape(spec: MachineSpec, codec: Codec) -> EncodedTape:
 
 
 def grow(tape: EncodedTape, side: Literal["left", "right"], default_codon: str) -> EncodedTape:
-    """Extend by one default-symbol cell plus one halt slot on the given side."""
-    halt = "1" * len(tape.fields[0])
+    """Extend by one default-symbol cell plus one halt slot on the given side:
+    O(1) at the edge the window has just crossed, O(n) elsewhere."""
+    w, cells, origin = tape._window, tape._cells, tape._origin
+    triple, left, right, base, lb, rb = tape._zipper
+    if triple is not None and side == "right" and w == cells:
+        triple = (triple[0], default_codon, "1" * len(triple[0]))
+        return _zipped(w, origin, cells + 1, (triple, left, None, base, lb, rb))
+    if triple is not None and side == "left" and w == -1:
+        triple = ("1" * len(triple[2]), default_codon, triple[2])
+        return _zipped(0, origin - 1, cells + 1, (triple, None, right, base, lb, rb))
+    fields = tape.fields
+    halt = "1" * len(fields[0])
     if side == "right":
-        return EncodedTape(tape.fields + (default_codon, halt), tape.window, tape.origin)
+        return EncodedTape(fields + (default_codon, halt), w, origin)
     if side == "left":
-        return EncodedTape((halt, default_codon) + tape.fields, tape.window + 1, tape.origin - 1)
+        return EncodedTape((halt, default_codon) + fields, w + 1, origin - 1)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

@@ -125,6 +125,16 @@ head: 0
 """
 
 
+def walker_text(cells: int, move: str) -> str:
+    """One-state walker over an all-0 tape, head on the edge it grows."""
+    head = cells - 1 if move == "R" else 0
+    return (
+        "symbols: 0 1\nstates: q1\n"
+        f"rule: q1 0 1 {move} q1\n"
+        f"default: 0\ninitial: q1\ntape: {'0' * cells}\nhead: {head}\n"
+    )
+
+
 def corrupt_first_write(spec, codec):
     """The compiled ruleset with rule 1 writing the default symbol instead."""
     trnas = compile_ruleset(spec, codec)

@@ -1,0 +1,90 @@
+"""Long mechanical runs against the classical interpreter.
+
+Walkers grow the tape by one cell on every step for 16k steps, rightward and
+leftward. Seeded random sweepers bounce between the ends of a marked region
+for 10k steps, growing the tape on both sides and walking back over every
+cell they wrote. For each, ``run``'s final tape, step count and halting equal
+``tm_run``'s, and ``bisimulate`` passes.
+"""
+
+import random
+
+import pytest
+
+from codonmachine import (
+    MachineSpec,
+    Move,
+    Outcome,
+    Rule,
+    bisimulate,
+    build_codec,
+    decode_tape,
+    new_sim,
+    parse_machine_spec,
+    run,
+    tm_run,
+    validate,
+)
+
+from conftest import STATE_POOL, SYMBOL_POOL, walker_text
+
+
+def assert_run_matches_classical(spec: MachineSpec, budget: int):
+    codec = build_codec(spec)
+    final, _, outcome = run(new_sim(spec, codec), budget)
+    ref = tm_run(spec, budget)
+    assert (final.step_count, outcome) == (ref.steps, ref.outcome)
+    decoded = decode_tape(final.tape, codec)
+    lo = min(decoded.origin, ref.min_pos)
+    hi = max(decoded.origin + len(decoded.symbols) - 1, ref.max_pos)
+    mech = dict(enumerate(decoded.symbols, start=decoded.origin))
+    default = spec.default_symbol
+    assert [mech.get(p, default) for p in range(lo, hi + 1)] == [
+        ref.config.symbols.get(p, default) for p in range(lo, hi + 1)
+    ]
+    assert decoded.state == ref.config.state
+    assert decoded.head_abs == ref.config.head
+    verdict = bisimulate(spec, codec, max_steps=budget)
+    assert (verdict.passed, verdict.steps, verdict.outcome) == (True, ref.steps, ref.outcome)
+    return ref
+
+
+@pytest.mark.parametrize("move", ["R", "L"])
+def test_walker_16k_steps(move):
+    spec = parse_machine_spec(walker_text(8, move))
+    ref = assert_run_matches_classical(spec, 16_000)
+    assert ref.outcome is Outcome.STEP_LIMIT
+    assert ref.max_pos - ref.min_pos + 1 == 8 + 16_000
+
+
+def random_sweeper(rng: random.Random) -> MachineSpec:
+    """A random total machine with no halt rule that sweeps a region of marks
+    (non-default symbols) right, then left, and so on. Each sweep has its own
+    cycle of one to three states; a state rewrites every mark it crosses with
+    a random mark and turns back at the default symbol, writing a mark there,
+    so every sweep grows the region by one cell."""
+    symbols = tuple(SYMBOL_POOL[: rng.randint(2, 4)])
+    default, marks = symbols[0], symbols[1:]
+    names = iter(STATE_POOL)
+    sweeps = {m: [next(names) for _ in range(rng.randint(1, 3))] for m in (Move.RIGHT, Move.LEFT)}
+    back = {Move.RIGHT: Move.LEFT, Move.LEFT: Move.RIGHT}
+    rules = []
+    for move, cycle in sweeps.items():
+        for i, state in enumerate(cycle):
+            rules += [Rule(state, s, rng.choice(marks), move, cycle[(i + 1) % len(cycle)])
+                      for s in marks]
+            rules.append(Rule(state, default, rng.choice(marks), back[move],
+                              rng.choice(sweeps[back[move]])))
+    tape = tuple(rng.choice(marks) for _ in range(rng.randint(1, 8)))
+    states = tuple(sweeps[Move.RIGHT] + sweeps[Move.LEFT])
+    return MachineSpec(symbols=symbols, states=states, rules=tuple(rules), default_symbol=default,
+                       initial_state=rng.choice(states), tape=tape, head=rng.randrange(len(tape)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_sweepers_10k_steps(seed):
+    spec = random_sweeper(random.Random(seed))
+    assert validate(spec) == []
+    ref = assert_run_matches_classical(spec, 10_000)
+    assert ref.outcome is Outcome.STEP_LIMIT
+    assert ref.min_pos < -40 and ref.max_pos > len(spec.tape) + 40  # grew on both sides

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import codonmachine.sim as sim_module
@@ -21,7 +23,7 @@ from codonmachine import (
     step,
 )
 
-from conftest import ADDER_TRACE_LINES, ONE_RULE_WALKER
+from conftest import ADDER_TRACE_LINES, ONE_RULE_WALKER, walker_text
 
 BOTH = frozenset({Side.STATE_ON_LEFT, Side.STATE_ON_RIGHT})
 
@@ -248,6 +250,26 @@ class TestBudgetCheck:
         sim = new_sim(spec, codec, trnas=[*compile_ruleset(spec, codec), twin])
         with pytest.raises(NondeterminismFault, match=r"rules \[2, 3\]"):
             run(sim, 1)
+
+
+class TestConstantStep:
+    """A step allocates the same few objects whatever the tape's length:
+    measured in bytes, so the check does not depend on the host's speed."""
+
+    @pytest.mark.parametrize("move", ["R", "L"])
+    @pytest.mark.parametrize("cells", [1_000, 100_000])
+    def test_step_allocation_is_flat(self, cells, move):
+        spec = parse_machine_spec(walker_text(cells, move))
+        sim, _ = step(new_sim(spec, build_codec(spec)))  # one cell grown, window on the edge
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            after, event = step(sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert event is not None and after.tape.cell_count == cells + 2
+        assert peak < 8 * 1024, peak
 
 
 class TestInvariants:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -181,3 +183,112 @@ class TestRoundTrip:
                 spec.head,
             )
             checked += 1
+
+
+class TupleTape:
+    """The plain-tuple tape the zipper must agree with: every write and grow
+    copies the whole strand."""
+
+    def __init__(self, fields, window, origin=0):
+        self.fields, self.window, self.origin = tuple(fields), window, origin
+
+    def write(self, row, shift):
+        f = 2 * self.window
+        fields = self.fields[:f] + tuple(row) + self.fields[f + 3 :]
+        return TupleTape(fields, self.window + shift, self.origin)
+
+    def grow(self, side, default):
+        halt = "1" * len(self.fields[0])
+        if side == "right":
+            return TupleTape(self.fields + (default, halt), self.window, self.origin)
+        return TupleTape((halt, default) + self.fields, self.window + 1, self.origin - 1)
+
+    @property
+    def cell_count(self):
+        return len(self.fields) // 2
+
+    def on_strand(self):
+        return 0 <= self.window < self.cell_count
+
+
+def assert_same_tape(tape: EncodedTape, model: TupleTape):
+    """Every read of the zipper against the model, the per-position reads
+    first, so they walk the zipper rather than a cached strand."""
+    cells = model.cell_count
+    positions = range(model.origin, model.origin + cells)
+    assert [tape.cell_at(p) for p in positions] == list(model.fields[1::2])
+    assert [tape.slot_at(p) for p in range(model.origin, model.origin + cells + 1)] == list(
+        model.fields[0::2]
+    )
+    w = 2 * model.window
+    assert tape.window_triple() == model.fields[w : w + 3]
+    assert (tape.window, tape.origin, tape.cell_count) == (model.window, model.origin, cells)
+    assert tape.window_abs == model.origin + model.window
+    assert tape.fields == model.fields
+    assert tape == EncodedTape(model.fields, model.window, model.origin)
+    assert hash(tape) == hash(EncodedTape(model.fields, model.window, model.origin))
+
+
+class TestZipperAgainstTuples:
+    """Seeded random writes, shifts and grows on both sides, against TupleTape."""
+
+    @staticmethod
+    def _codon(rng, width):
+        return "".join(rng.choice("01") for _ in range(width))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_edit_sequences(self, seed):
+        rng = random.Random(seed)
+        cells = rng.randint(1, 6)
+        fields = [self._codon(rng, 3 if i % 2 == 0 else 2) for i in range(2 * cells + 1)]
+        window = rng.randrange(cells)
+        tape, model = EncodedTape(tuple(fields), window), TupleTape(fields, window)
+        history, grown, drift = [(tape, model)], set(), 1
+        for _ in range(300):
+            if model.on_strand():
+                op = "grow" if rng.random() < 0.03 else "write"
+            else:
+                # off the strand after a move past an edge: grow there, as
+                # apply_trna does, or first grow at the far edge
+                op = "grow-edge" if rng.random() < 0.8 else "grow-far"
+            if op == "write":
+                row = (self._codon(rng, 3), self._codon(rng, 2), self._codon(rng, 3))
+                shift = rng.choice([drift, drift, drift, -drift, 0])
+                tape, model = tape.write(row, shift), model.write(row, shift)
+            else:
+                if op == "grow":
+                    side = rng.choice(["left", "right"])
+                else:
+                    crossed = "left" if model.window < 0 else "right"
+                    far = "right" if crossed == "left" else "left"
+                    side = crossed if op == "grow-edge" else far
+                    drift = 1 if crossed == "left" else -1  # sweep back to the other edge
+                default = self._codon(rng, 2)
+                tape, model = grow(tape, side, default), model.grow(side, default)
+                grown.add((op, side))
+            assert_same_tape(tape, model)
+            history.append((tape, model))
+        assert {("grow-edge", "left"), ("grow-edge", "right"), ("grow", "left"),
+                ("grow", "right")} <= grown, grown
+        assert {("grow-far", "left"), ("grow-far", "right")} & grown
+        # persistence: no later edit reached into an earlier version
+        for old_tape, old_model in history:
+            assert old_tape.render() == "_".join(old_model.fields)
+            assert_same_tape(old_tape, old_model)
+
+    def test_value_semantics(self):
+        tape = EncodedTape(("001", "01", "111"), 0)
+        moved = tape.write(("111", "10", "010"), 1)
+        moved = grow(moved, "right", "01")
+        assert repr(tape) == "EncodedTape(fields=('001', '01', '111'), window=0, origin=0)"
+        assert moved == EncodedTape(fields=("111", "10", "010", "01", "111"), window=1)
+        assert len({moved, EncodedTape(moved.fields, 1, 0)}) == 1
+        with pytest.raises(AttributeError):
+            tape.window = 1
+
+    def test_deep_stacks_pickle_and_copy_by_value(self):
+        tape = EncodedTape(("001", "01", "111"), 0)
+        for _ in range(5000):  # every write nests the left stack one pair deeper
+            tape = grow(tape.write(("111", "10", "001"), 1), "right", "01")
+        assert pickle.loads(pickle.dumps(tape)) == tape
+        assert copy.deepcopy(tape) == tape
