@@ -18,7 +18,8 @@ position of the match) or stochastic (sample read rows uniformly with
 replacement until the match arrives, trials = number of draws). The sampling
 pool is the individual read rows, so a dual-compiled ruleset of 25 records
 offers 50 arrivals. The number of draws is Geometric(1/pool), so it is taken
-in one inverse-CDF draw rather than by drawing rows one by one.
+in one inverse-CDF draw rather than by drawing rows one by one; a seeded run
+keys each step's uniform on (seed, step count), so ``step`` stays pure.
 """
 
 from __future__ import annotations
@@ -150,15 +151,27 @@ def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
                        sim.step_count + 1, sim.trial_count, sim.halted, sim.index)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _uniform(key: int) -> float:
+    """A uniform draw in [0, 1) from an integer key: the splitmix64 finaliser,
+    top 53 bits. Counter-based, so each step's draw costs a few integer ops."""
+    z = (key + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
 def _stochastic_trials(sim: SimInstance) -> int:
     """Draws, with replacement from the read-row pool, until the matching row
-    arrives: Geometric(1/pool), by one inverse-CDF draw seeded per step."""
+    arrives: Geometric(1/pool), by one inverse-CDF draw keyed per step."""
     pool = sim.index.pool
     if pool <= 1:
         return 1
     seed = sim.rng_seed
-    rng = random if seed is None else random.Random(seed * 1_000_003 + sim.step_count)
-    return 1 + int(math.log(1.0 - rng.random()) / math.log1p(-1.0 / pool))
+    u = random.random() if seed is None else _uniform(seed * 1_000_003 + sim.step_count)
+    return 1 + int(math.log(1.0 - u) / math.log1p(-1.0 / pool))
 
 
 def step(

@@ -9,21 +9,22 @@ symbol cell the machine will read next; its triple is fields 2w to 2w+2.
 with a classical run. Only this module indexes the strand.
 
 The strand is stored as a persistent zipper: the window triple, two stacks of
-nested pairs ``(field, rest)`` holding the fields left and right of the
-window, nearest first, and the tuple the tape was built from, for the fields
-no move has reached yet. Tapes never change, and each one shares all but a
-few fields with the tape it was made from. Costs, for a tape of n cells:
+one entry per cell, ``(near, far, rest)``, holding the fields left and right
+of the window, nearest first, and the tuple the tape was built from, for the
+fields no move has reached yet. Tapes never change, and each one shares all
+but a few fields with the tape it was made from. Costs, for a tape of n
+cells:
 
-* O(1): ``write`` with a shift of -1, 0 or 1, ``grow`` at the edge the window
-  has just crossed, ``window_triple``, ``window``, ``origin``,
-  ``cell_count`` and ``window_abs``;
+* O(1): ``write`` (a shift of -1, 0 or 1 on a window over the strand; any
+  other write raises ``TapeError``), ``grow`` at the edge the window has just
+  crossed, ``window_triple``, ``window``, ``origin``, ``cell_count`` and
+  ``window_abs``;
 * O(distance from the window): ``cell_at`` and ``slot_at``;
 * O(n) once per tape, then cached: ``fields``; ``state_slots``,
   ``symbol_cells``, ``render``, equality and hashing read it;
-* O(n) per call: ``grow`` away from the window, and ``write`` with another
-  shift or on a tape whose window is off the strand. Such a window exists
-  only between a move past an edge and its ``grow``, or on a hand-built
-  tape, and every read of that tape goes through ``fields``.
+* O(n) per call: ``grow`` away from the window. A window off the strand
+  exists only between a move past an edge and its ``grow``, or on a
+  hand-built tape, and every read of that tape goes through ``fields``.
 
 Rendered form: all fields joined with underscores, e.g.
 ``001_01_111_10_111``.
@@ -48,7 +49,8 @@ class EncodedTape:
 
     ``_zipper`` is (triple, left, right, base, lb, rb). Left of the window lie
     ``base[:lb]`` and then the left stack; right of it, the right stack and
-    then ``base[rb:]``. A window just moved off the strand keeps the slot it
+    then ``base[rb:]``. Each stack entry holds one cell and its slot, nearer
+    field first. A window just moved off the strand keeps the slot it
     crossed in its triple, and None for the two fields ``grow`` adds there.
     """
 
@@ -133,9 +135,10 @@ class EncodedTape:
             held = 2 * cells - w - 2 - (len(base) - rb)
             if depth > held:
                 return base[rb + depth - held - 1]
-        for _ in range(depth - 1):
-            stack = stack[1]
-        return stack[0]
+        hops, far = divmod(depth - 1, 2)  # whole cells to pass, then near or far
+        for _ in range(hops):
+            stack = stack[2]
+        return stack[far]
 
     def cell_at(self, pos: int) -> str:
         return self._field(2 * (pos - self.origin) + 1)
@@ -158,40 +161,40 @@ class EncodedTape:
         ``shift`` cells. A window moved past either end waits for ``grow``."""
         slot, cell, next_slot = row
         w, cells = self._window, self._cells
-        if not 0 <= w < cells or shift not in (-1, 0, 1):
-            f, fields = 2 * w, self.fields
-            return EncodedTape(fields[:f] + (slot, cell, next_slot) + fields[f + 3 :],
-                               w + shift, self.origin)
+        if not 0 <= w < cells:
+            raise TapeError(f"window {w} is off the strand of {cells} cells: grow first")
         _, left, right, base, lb, rb = self._zipper
         if shift == 1:
-            left = (cell, (slot, left))
+            left = (cell, slot, left)
             if w + 1 == cells:
                 triple = (next_slot, None, None)
             elif right is None:
                 triple, rb = (next_slot, base[rb], base[rb + 1]), rb + 2
             else:
-                near, (far, right) = right
+                near, far, right = right
                 triple = (next_slot, near, far)
         elif shift == -1:
-            right = (cell, (next_slot, right))
+            right = (cell, next_slot, right)
             if w == 0:
                 triple = (None, None, slot)
             elif left is None:
                 triple, lb = (base[lb - 2], base[lb - 1], slot), lb - 2
             else:
-                near, (far, left) = left
+                near, far, left = left
                 triple = (far, near, slot)
-        else:
+        elif shift == 0:
             triple = (slot, cell, next_slot)
+        else:
+            raise TapeError(f"shift must be -1, 0 or 1, got {shift!r}")
         return _zipped(w + shift, self._origin, cells, (triple, left, right, base, lb, rb))
 
 
 def _unstack(stack) -> tuple[str, ...]:
-    """The fields of a stack of nested pairs, top first."""
+    """The fields of a stack of ``(near, far, rest)`` entries, top first."""
     fields = []
     while stack is not None:
-        field, stack = stack
-        fields.append(field)
+        near, far, stack = stack
+        fields += (near, far)
     return tuple(fields)
 
 

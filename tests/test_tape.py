@@ -286,9 +286,21 @@ class TestZipperAgainstTuples:
         with pytest.raises(AttributeError):
             tape.window = 1
 
+    def test_write_needs_a_window_on_the_strand_and_a_one_cell_shift(self):
+        tape = EncodedTape(("001", "01", "111"), 0)
+        row = ("111", "10", "010")
+        with pytest.raises(TapeError, match="shift"):
+            tape.write(row, 2)
+        off = tape.write(row, -1)
+        assert off.window == -1
+        with pytest.raises(TapeError, match="off the strand"):
+            off.write(row, 1)
+        with pytest.raises(TapeError, match="off the strand"):
+            EncodedTape(("001", "01", "111"), 1).write(row, -1)
+
     def test_deep_stacks_pickle_and_copy_by_value(self):
         tape = EncodedTape(("001", "01", "111"), 0)
-        for _ in range(5000):  # every write nests the left stack one pair deeper
+        for _ in range(5000):  # every write nests the left stack one entry deeper
             tape = grow(tape.write(("111", "10", "001"), 1), "right", "01")
         assert pickle.loads(pickle.dumps(tape)) == tape
         assert copy.deepcopy(tape) == tape
