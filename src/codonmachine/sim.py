@@ -10,8 +10,8 @@ halted.
 Matching is one dict lookup: each instance carries a ``WindowIndex``, built
 once from its tRNAs, that maps the complement of every read row (the window
 that row locks onto) to the row's scan position, tRNA and side. A step is
-then O(1): one lookup, one write, at most one grow at the edge the window
-crossed.
+then O(1): one lookup, at most one grow at the edge the window is about to
+cross, and one write.
 
 Arrival order is either deterministic (scan the pool in order, trials = scan
 position of the match) or stochastic (sample read rows uniformly with
@@ -141,12 +141,14 @@ def match_window(trna: Trna, window: Window) -> Side | None:
 
 
 def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
-    """Push the write row down over the window, then shift the window."""
-    tape = sim.tape.write(trna.write, -1 if trna.hole else 1)
-    if tape.window < 0:
+    """Grow the tape at the edge the shift would cross, then push the write
+    row down over the window and shift the window."""
+    tape, shift = sim.tape, -1 if trna.hole else 1
+    if tape.window + shift < 0:
         tape = grow(tape, "left", sim.default_codon)
-    elif tape.window >= tape.cell_count:
+    elif tape.window + shift == tape.cell_count:
         tape = grow(tape, "right", sim.default_codon)
+    tape = tape.write(trna.write, shift)
     return SimInstance(tape, sim.trnas, sim.default_codon, sim.rng_seed,
                        sim.step_count + 1, sim.trial_count, sim.halted, sim.index)
 

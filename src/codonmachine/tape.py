@@ -12,19 +12,20 @@ The strand is stored as a persistent zipper: the window triple, two stacks of
 one entry per cell, ``(near, far, rest)``, holding the fields left and right
 of the window, nearest first, and the tuple the tape was built from, for the
 fields no move has reached yet. Tapes never change, and each one shares all
-but a few fields with the tape it was made from. Costs, for a tape of n
-cells:
+but a few fields with the tape it was made from.
 
-* O(1): ``write`` (a shift of -1, 0 or 1 on a window over the strand; any
-  other write raises ``TapeError``), ``grow`` at the edge the window has just
-  crossed, ``window_triple``, ``window``, ``origin``, ``cell_count`` and
-  ``window_abs``;
+The window is always on the strand, 0 <= window < cell_count: the
+constructor rejects any other window, and ``write`` refuses a shift that
+would leave the strand, so a move past an edge grows that edge first. Costs,
+for a tape of n cells:
+
+* O(1): ``write`` (a shift of -1, 0 or 1 that stays on the strand),
+  ``grow`` at the edge the window sits on, ``window_triple``, ``window``,
+  ``origin``, ``cell_count`` and ``window_abs``;
 * O(distance from the window): ``cell_at`` and ``slot_at``;
 * O(n) once per tape, then cached: ``fields``; ``state_slots``,
   ``symbol_cells``, ``render``, equality and hashing read it;
-* O(n) per call: ``grow`` away from the window. A window off the strand
-  exists only between a move past an edge and its ``grow``, or on a
-  hand-built tape, and every read of that tape goes through ``fields``.
+* O(n) per call: ``grow`` at the other edge.
 
 Rendered form: all fields joined with underscores, e.g.
 ``001_01_111_10_111``.
@@ -45,13 +46,13 @@ class TapeError(ValueError):
 
 class EncodedTape:
     """An immutable encoded tape, equal, hashed and printed by its fields,
-    window and origin, whatever history built it.
+    window and origin, whatever history built it. Its window is a cell of
+    the strand: ``0 <= window < cell_count``.
 
     ``_zipper`` is (triple, left, right, base, lb, rb). Left of the window lie
     ``base[:lb]`` and then the left stack; right of it, the right stack and
     then ``base[rb:]``. Each stack entry holds one cell and its slot, nearer
-    field first. A window just moved off the strand keeps the slot it
-    crossed in its triple, and None for the two fields ``grow`` adds there.
+    field first.
     """
 
     __slots__ = ("_window", "_origin", "_cells", "_zipper", "_fields")
@@ -61,10 +62,11 @@ class EncodedTape:
         if len(fields) % 2 == 0:
             raise TapeError(f"{len(fields)} fields cannot frame cells between slots")
         cells, w = len(fields) // 2, 2 * window
-        triple = fields[w : w + 3] if 0 <= window < cells else None
+        if not 0 <= window < cells:
+            raise TapeError(f"window {window} is off the strand of {cells} cells")
         self._fields = fields
         self._window, self._origin, self._cells = window, origin, cells
-        self._zipper = (triple, None, None, fields, w, w + 3)
+        self._zipper = (fields[w : w + 3], None, None, fields, w, w + 3)
 
     def __reduce__(self):  # by value: the stacks may nest too deep to recurse
         return EncodedTape, (self.fields, self.window, self.origin)
@@ -100,8 +102,7 @@ class EncodedTape:
         except AttributeError:
             pass
         triple, left, right, base, lb, rb = self._zipper
-        middle = tuple(f for f in triple if f is not None)
-        fields = base[:lb] + _unstack(left)[::-1] + middle + _unstack(right) + base[rb:]
+        fields = base[:lb] + _unstack(left)[::-1] + triple + _unstack(right) + base[rb:]
         self._fields = fields
         return fields
 
@@ -119,10 +120,10 @@ class EncodedTape:
 
     def _field(self, f: int) -> str:
         """Field ``f`` of the strand, walking the stack on its side of the
-        window; an index off the strand reads as a tuple index would."""
+        window. An index off the strand raises IndexError."""
         w, cells = 2 * self._window, self._cells
-        if not (0 <= w < 2 * cells and 0 <= f <= 2 * cells):
-            return self.fields[f]
+        if not 0 <= f <= 2 * cells:
+            raise IndexError(f"field {f} is off the strand of {cells} cells")
         triple, left, right, base, lb, rb = self._zipper
         if w <= f <= w + 2:
             return triple[f - w]
@@ -151,41 +152,35 @@ class EncodedTape:
         return "_".join(self.fields)
 
     def window_triple(self) -> tuple[str, str, str]:
-        if 0 <= self._window < self._cells:
-            return self._zipper[0]
-        w = 2 * self.window
-        return self.fields[w : w + 3]
+        return self._zipper[0]
 
     def write(self, row: tuple[str, str, str], shift: int) -> EncodedTape:
         """Replace the window's three fields with ``row``, then move the window
-        ``shift`` cells. A window moved past either end waits for ``grow``."""
+        ``shift`` cells. A move past either end needs ``grow`` there first."""
         slot, cell, next_slot = row
         w, cells = self._window, self._cells
-        if not 0 <= w < cells:
-            raise TapeError(f"window {w} is off the strand of {cells} cells: grow first")
+        if shift not in (-1, 0, 1):
+            raise TapeError(f"shift must be -1, 0 or 1, got {shift!r}")
+        if not 0 <= w + shift < cells:
+            raise TapeError(f"window {w + shift} would be off the strand of {cells} cells: "
+                            "grow first")
         _, left, right, base, lb, rb = self._zipper
         if shift == 1:
             left = (cell, slot, left)
-            if w + 1 == cells:
-                triple = (next_slot, None, None)
-            elif right is None:
+            if right is None:
                 triple, rb = (next_slot, base[rb], base[rb + 1]), rb + 2
             else:
                 near, far, right = right
                 triple = (next_slot, near, far)
         elif shift == -1:
             right = (cell, next_slot, right)
-            if w == 0:
-                triple = (None, None, slot)
-            elif left is None:
+            if left is None:
                 triple, lb = (base[lb - 2], base[lb - 1], slot), lb - 2
             else:
                 near, far, left = left
                 triple = (far, near, slot)
-        elif shift == 0:
-            triple = (slot, cell, next_slot)
         else:
-            raise TapeError(f"shift must be -1, 0 or 1, got {shift!r}")
+            triple = (slot, cell, next_slot)
         return _zipped(w + shift, self._origin, cells, (triple, left, right, base, lb, rb))
 
 
@@ -237,21 +232,20 @@ def encode_tape(spec: MachineSpec, codec: Codec) -> EncodedTape:
 
 def grow(tape: EncodedTape, side: Literal["left", "right"], default_codon: str) -> EncodedTape:
     """Extend by one default-symbol cell plus one halt slot on the given side:
-    O(1) at the edge the window has just crossed, O(n) elsewhere."""
+    O(1) at the edge the window sits on, where that side's stack is empty and
+    the new cell becomes its only entry; O(n) at the other edge."""
     w, cells, origin = tape._window, tape._cells, tape._origin
     triple, left, right, base, lb, rb = tape._zipper
-    if triple is not None and side == "right" and w == cells:
-        triple = (triple[0], default_codon, "1" * len(triple[0]))
-        return _zipped(w, origin, cells + 1, (triple, left, None, base, lb, rb))
-    if triple is not None and side == "left" and w == -1:
-        triple = ("1" * len(triple[2]), default_codon, triple[2])
-        return _zipped(0, origin - 1, cells + 1, (triple, None, right, base, lb, rb))
-    fields = tape.fields
-    halt = "1" * len(fields[0])
+    halt = "1" * len(triple[0])
+    entry = (default_codon, halt, None)  # a stack of the new cell alone, nearer field first
     if side == "right":
-        return EncodedTape(fields + (default_codon, halt), w, origin)
+        if w == cells - 1:
+            return _zipped(w, origin, cells + 1, (triple, left, entry, base, lb, rb))
+        return EncodedTape(tape.fields + (default_codon, halt), w, origin)
     if side == "left":
-        return EncodedTape((halt, default_codon) + fields, w + 1, origin - 1)
+        if w == 0:
+            return _zipped(1, origin - 1, cells + 1, (triple, entry, right, base, lb, rb))
+        return EncodedTape((halt, default_codon) + tape.fields, w + 1, origin - 1)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -286,9 +280,7 @@ def decode_tape(tape: EncodedTape, codec: Codec) -> DecodedConfig:
     if tape.window in (slot_index - 1, slot_index):
         head = tape.window
     else:
-        head = slot_index
-    if not 0 <= head < tape.cell_count:
-        head = slot_index - 1 if slot_index == tape.cell_count else slot_index
+        head = min(slot_index, tape.cell_count - 1)
     return DecodedConfig(
         symbols=tuple(symbols), state=state, head=head, origin=tape.origin
     )

@@ -105,6 +105,20 @@ class TestGrow:
         assert grown.window_triple() == ("001", "01", "111")
         assert grown.cell_count == 2
 
+    @pytest.mark.parametrize("left_grows", [0, 1], ids=["encoded", "left-grown"])
+    def test_reads_off_the_strand_raise(self, adder, adder_codec, left_grows):
+        tape = encode_tape(adder, adder_codec)
+        for _ in range(left_grows):
+            tape = grow(tape, "left", "01")
+        lo, n = tape.origin, tape.cell_count
+        assert (lo, tape.window) == (-left_grows, left_grows)
+        assert (tape.cell_at(lo), tape.cell_at(lo + n - 1)) == (tape.fields[1], tape.fields[-2])
+        assert (tape.slot_at(lo), tape.slot_at(lo + n)) == (tape.fields[0], tape.fields[-1])
+        for read, pos in ((tape.cell_at, lo - 1), (tape.cell_at, lo + n),
+                          (tape.slot_at, lo - 1), (tape.slot_at, lo + n + 1)):
+            with pytest.raises(IndexError, match="off the strand"):
+                read(pos)
+
     def test_forty_right_growths(self, adder_codec):
         tape = one_cell_tape()
         for _ in range(40):
@@ -152,6 +166,13 @@ class TestDecode:
         decoded = decode_tape(tape, adder_codec)
         assert decoded.state == "q3"
         assert decoded.head == 0
+
+    def test_live_last_slot_away_from_window(self, adder_codec):
+        # a hand-built tape whose live slot is right of the last cell, with
+        # the window elsewhere: the head is the last cell, on the strand
+        tape = EncodedTape(fields=("111", "01", "111", "10", "100"), window=0)
+        decoded = decode_tape(tape, adder_codec)
+        assert (decoded.state, decoded.head) == ("q3", 1)
 
     def test_slot_shape_enforced(self):
         with pytest.raises(TapeError, match="slots"):
@@ -207,9 +228,6 @@ class TupleTape:
     def cell_count(self):
         return len(self.fields) // 2
 
-    def on_strand(self):
-        return 0 <= self.window < self.cell_count
-
 
 def assert_same_tape(tape: EncodedTape, model: TupleTape):
     """Every read of the zipper against the model, the per-position reads
@@ -230,7 +248,8 @@ def assert_same_tape(tape: EncodedTape, model: TupleTape):
 
 
 class TestZipperAgainstTuples:
-    """Seeded random writes, shifts and grows on both sides, against TupleTape."""
+    """Seeded random writes, shifts and grows on both sides, against TupleTape.
+    The window never leaves the strand: a write past an edge grows it first."""
 
     @staticmethod
     def _codon(rng, width):
@@ -245,32 +264,28 @@ class TestZipperAgainstTuples:
         tape, model = EncodedTape(tuple(fields), window), TupleTape(fields, window)
         history, grown, drift = [(tape, model)], set(), 1
         for _ in range(300):
-            if model.on_strand():
-                op = "grow" if rng.random() < 0.03 else "write"
+            if rng.random() < 0.03:
+                ops = [rng.choice(["left", "right"])]
             else:
-                # off the strand after a move past an edge: grow there, as
-                # apply_trna does, or first grow at the far edge
-                op = "grow-edge" if rng.random() < 0.8 else "grow-far"
-            if op == "write":
                 row = (self._codon(rng, 3), self._codon(rng, 2), self._codon(rng, 3))
                 shift = rng.choice([drift, drift, drift, -drift, 0])
-                tape, model = tape.write(row, shift), model.write(row, shift)
-            else:
-                if op == "grow":
-                    side = rng.choice(["left", "right"])
+                ops = [(row, shift)]
+                if not 0 <= model.window + shift < model.cell_count:
+                    # a write past an edge grows that edge first, as apply_trna
+                    # does, then sweeps back toward the other edge
+                    ops.insert(0, "left" if shift < 0 else "right")
+                    drift = -shift
+            for op in ops:
+                if op in ("left", "right"):
+                    edge = 0 if op == "left" else model.cell_count - 1
+                    grown.add(("edge" if model.window == edge else "far", op))
+                    default = self._codon(rng, 2)
+                    tape, model = grow(tape, op, default), model.grow(op, default)
                 else:
-                    crossed = "left" if model.window < 0 else "right"
-                    far = "right" if crossed == "left" else "left"
-                    side = crossed if op == "grow-edge" else far
-                    drift = 1 if crossed == "left" else -1  # sweep back to the other edge
-                default = self._codon(rng, 2)
-                tape, model = grow(tape, side, default), model.grow(side, default)
-                grown.add((op, side))
-            assert_same_tape(tape, model)
-            history.append((tape, model))
-        assert {("grow-edge", "left"), ("grow-edge", "right"), ("grow", "left"),
-                ("grow", "right")} <= grown, grown
-        assert {("grow-far", "left"), ("grow-far", "right")} & grown
+                    tape, model = tape.write(*op), model.write(*op)
+                assert_same_tape(tape, model)
+                history.append((tape, model))
+        assert grown == {("edge", "left"), ("edge", "right"), ("far", "left"), ("far", "right")}
         # persistence: no later edit reached into an earlier version
         for old_tape, old_model in history:
             assert old_tape.render() == "_".join(old_model.fields)
@@ -278,8 +293,7 @@ class TestZipperAgainstTuples:
 
     def test_value_semantics(self):
         tape = EncodedTape(("001", "01", "111"), 0)
-        moved = tape.write(("111", "10", "010"), 1)
-        moved = grow(moved, "right", "01")
+        moved = grow(tape, "right", "01").write(("111", "10", "010"), 1)
         assert repr(tape) == "EncodedTape(fields=('001', '01', '111'), window=0, origin=0)"
         assert moved == EncodedTape(fields=("111", "10", "010", "01", "111"), window=1)
         assert len({moved, EncodedTape(moved.fields, 1, 0)}) == 1
@@ -287,20 +301,22 @@ class TestZipperAgainstTuples:
             tape.window = 1
 
     def test_write_needs_a_window_on_the_strand_and_a_one_cell_shift(self):
-        tape = EncodedTape(("001", "01", "111"), 0)
+        fields = ("001", "01", "111", "10", "010")
         row = ("111", "10", "010")
         with pytest.raises(TapeError, match="shift"):
-            tape.write(row, 2)
-        off = tape.write(row, -1)
-        assert off.window == -1
-        with pytest.raises(TapeError, match="off the strand"):
-            off.write(row, 1)
-        with pytest.raises(TapeError, match="off the strand"):
-            EncodedTape(("001", "01", "111"), 1).write(row, -1)
+            EncodedTape(fields, 1).write(row, 2)
+        for window, shift in ((0, -1), (1, 1)):
+            tape, moved = EncodedTape(fields, window), None
+            with pytest.raises(TapeError, match="off the strand"):
+                moved = tape.write(row, shift)
+            assert moved is None and tape == EncodedTape(fields, window)
+        for window in (-1, 2):
+            with pytest.raises(TapeError, match="off the strand"):
+                EncodedTape(fields, window)
 
     def test_deep_stacks_pickle_and_copy_by_value(self):
         tape = EncodedTape(("001", "01", "111"), 0)
         for _ in range(5000):  # every write nests the left stack one entry deeper
-            tape = grow(tape.write(("111", "10", "001"), 1), "right", "01")
+            tape = grow(tape, "right", "01").write(("111", "10", "001"), 1)
         assert pickle.loads(pickle.dumps(tape)) == tape
         assert copy.deepcopy(tape) == tape
