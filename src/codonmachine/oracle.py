@@ -12,6 +12,7 @@ halt. Whole tapes are decoded and compared only at the start and at the end
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .codec import Codec, build_codec
 from .machine import MachineSpec, Move, Rule
@@ -156,7 +157,8 @@ def _divergence(
     mech, origin, pad = decoded.symbols, decoded.origin, (spec.default_symbol,)
     lo, hi = min(origin, *cfg.symbols), max(origin + len(mech) - 1, *cfg.symbols)
     padded = pad * (origin - lo) + mech + pad * (hi + 1 - origin - len(mech))
-    cells = zip(range(lo, hi + 1), padded)
+    classical = tuple(map(cfg.symbols.get, range(lo, hi + 1), repeat(spec.default_symbol)))
+    cells = () if padded == classical else zip(range(lo, hi + 1), padded)
     states = [] if decoded.state is None else [decoded.state]
     return _compare(spec, step, cfg, cells, states, decoded.head_abs)
 
@@ -168,14 +170,18 @@ def _written_divergence(
     side, and the cell the window moved onto (which a grow adds), by absolute
     position, as a left grow shifts indices. Unnamed codons are reported raw."""
     window = tape.window_abs
-    cells = [(p, tape.cell_at(p)) for p in sorted((pos, window))]
-    cells = [(p, codec.symbol_name(c) or c) for p, c in cells]
-    slots = [(p, tape.slot_at(p)) for p in (pos, pos + 1)]
-    live = [(p, codec.state_name(s) or s) for p, s in slots if s != codec.halt_state]
+    slot, cell, next_slot = tape.triple_at(pos)
+    seen = tape.window_triple()[1]
+    written = (pos, codec.symbol_name(cell) or cell)
+    moved = (window, codec.symbol_name(seen) or seen)
+    cells = (written, moved) if pos <= window else (moved, written)
+    halt = codec.halt_state
+    states = [codec.state_name(s) or s for s in (slot, next_slot) if s != halt]
+    first = pos if slot != halt else pos + 1  # the leftmost live slot, if any
     head = window
-    if live and live[0][0] not in (window, window + 1):
-        head = f"slot {live[0][0]}, window {window}"
-    return _compare(spec, step, cfg, cells, [name for _, name in live], head)
+    if states and first - window not in (0, 1):
+        head = f"slot {first}, window {window}"
+    return _compare(spec, step, cfg, cells, states, head)
 
 
 def bisimulate(

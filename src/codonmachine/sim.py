@@ -11,7 +11,10 @@ Matching is one dict lookup: each instance carries a ``WindowIndex``, built
 once from its tRNAs, that maps the complement of every read row (the window
 that row locks onto) to the row's scan position, tRNA and side. A step is
 then O(1): one lookup, at most one grow at the edge the window is about to
-cross, and one write.
+cross, and one write. The step builds each successor instance and its event
+once, without the dataclass ``__init__``: the successor copies its
+predecessor's fields in one dict, with the tRNAs and index it already holds,
+and ``step`` adds the trials to that fresh instance.
 
 Arrival order is either deterministic (scan the pool in order, trials = scan
 position of the match) or stochastic (sample read rows uniformly with
@@ -140,6 +143,21 @@ def match_window(trna: Trna, window: Window) -> Side | None:
     return None if found is None else found[2]
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _successor(sim: SimInstance, tape: EncodedTape, step_count: int, halted: bool) -> SimInstance:
+    """``sim`` with a new tape, step count and halt flag, built without
+    ``__init__``. Its tRNAs, default codon, seed and index are the
+    predecessor's, which ``__post_init__`` has already made consistent, so the
+    fields are copied in one dict and nothing is checked again."""
+    state = sim.__dict__.copy()
+    state["tape"], state["step_count"], state["halted"] = tape, step_count, halted
+    after = _new(SimInstance)
+    _set(after, "__dict__", state)
+    return after
+
+
 def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
     """Grow the tape at the edge the shift would cross, then push the write
     row down over the window and shift the window."""
@@ -148,9 +166,7 @@ def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
         tape = grow(tape, "left", sim.default_codon)
     elif tape.window + shift == tape.cell_count:
         tape = grow(tape, "right", sim.default_codon)
-    tape = tape.write(trna.write, shift)
-    return SimInstance(tape, sim.trnas, sim.default_codon, sim.rng_seed,
-                       sim.step_count + 1, sim.trial_count, sim.halted, sim.index)
+    return _successor(sim, tape.write(trna.write, shift), sim.step_count + 1, sim.halted)
 
 
 _MASK64 = (1 << 64) - 1
@@ -185,21 +201,20 @@ def step(
     window = sim.tape.window_triple()
     found = sim.index.match(window)
     if found is None:
-        return SimInstance(sim.tape, sim.trnas, sim.default_codon, sim.rng_seed,
-                           sim.step_count, sim.trial_count, True, sim.index), None
+        return _successor(sim, sim.tape, sim.step_count, True), None
     scan_index, trna, side = found
     trials = scan_index + 1 if arrival is Arrival.DETERMINISTIC else _stochastic_trials(sim)
     after = apply_trna(trna, sim)
-    after = SimInstance(after.tape, after.trnas, after.default_codon, after.rng_seed,
-                        after.step_count, after.trial_count + trials, after.halted, after.index)
-    event = TraceEvent(
-        step=after.step_count,
-        rule_id=trna.rule_id,
-        side=side,
-        trials=trials,
-        window_before="_".join(window),
-        window_after="_".join(after.tape.window_triple()),
-    )
+    state = after.__dict__  # apply_trna's fresh successor: no one else holds it yet
+    state["trial_count"] += trials
+    event = _new(TraceEvent)
+    fields = event.__dict__  # filled in field order, it keeps sharing its keys with other events
+    fields["step"] = state["step_count"]
+    fields["rule_id"] = trna.rule_id
+    fields["side"] = side
+    fields["trials"] = trials
+    fields["window_before"] = "_".join(window)
+    fields["window_after"] = "_".join(state["tape"].window_triple())
     return after, event
 
 

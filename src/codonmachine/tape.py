@@ -22,7 +22,8 @@ for a tape of n cells:
 * O(1): ``write`` (a shift of -1, 0 or 1 that stays on the strand),
   ``grow`` at the edge the window sits on, ``window_triple``, ``window``,
   ``origin``, ``cell_count`` and ``window_abs``;
-* O(distance from the window): ``cell_at`` and ``slot_at``;
+* O(distance from the window): ``triple_at``, which is O(1) for the window
+  and a neighbour a move has reached;
 * O(n) once per tape, then cached: ``fields``; ``state_slots``,
   ``symbol_cells``, ``render``, equality and hashing read it;
 * O(n) per call: ``grow`` at the other edge.
@@ -141,12 +142,20 @@ class EncodedTape:
             stack = stack[2]
         return stack[far]
 
-    def cell_at(self, pos: int) -> str:
-        return self._field(2 * (pos - self.origin) + 1)
-
-    def slot_at(self, pos: int) -> str:
-        """The slot immediately left of the cell at absolute position ``pos``."""
-        return self._field(2 * (pos - self.origin))
+    def triple_at(self, pos: int) -> tuple[str, str, str]:
+        """The cell at absolute position ``pos`` between the slots on either
+        side of it: O(1) for the window and the cells next to it that a move
+        has reached, O(distance from the window) elsewhere."""
+        triple, left, right, _, _, _ = self._zipper
+        offset = pos - self._origin - self._window
+        if offset == 0:
+            return triple
+        if offset == -1 and left is not None:
+            return left[1], left[0], triple[0]
+        if offset == 1 and right is not None:
+            return triple[2], right[0], right[1]
+        f = 2 * (pos - self._origin)
+        return self._field(f), self._field(f + 1), self._field(f + 2)
 
     def render(self) -> str:
         return "_".join(self.fields)
@@ -256,31 +265,32 @@ def decode_tape(tape: EncodedTape, codec: Codec) -> DecodedConfig:
     two cells belongs to whichever side the machine is facing); for a tape
     not produced by a simulation the state is taken to sit left of its cell.
     """
-    symbols = []
-    for i, cell in enumerate(tape.symbol_cells):
-        name = codec.symbol_name(cell)
-        if name is None:
-            raise TapeError(f"cell {i}: {cell} decodes to no known symbol")
-        symbols.append(name)
-    halt = codec.halt_state
-    slots = tape.state_slots
-    live = [i for i, slot in enumerate(slots) if slot != halt]
+    cells = tape.symbol_cells
+    symbols = tuple(map(codec.symbol_name, cells))
+    if None in symbols:
+        i = symbols.index(None)
+        raise TapeError(f"cell {i}: {cells[i]} decodes to no known symbol")
+    halt, slots, w = codec.halt_state, tape.state_slots, tape.window
+    live = len(slots) - slots.count(halt)
     if not live:
         return DecodedConfig(
-            symbols=tuple(symbols), state=None, head=None, origin=tape.origin
+            symbols=symbols, state=None, head=None, origin=tape.origin
         )
-    if len(live) > 1:
-        raise TapeError(f"more than one live state slot: {live}")
-    slot_index = live[0]
+    if live > 1:
+        live_at = [i for i, slot in enumerate(slots) if slot != halt]
+        raise TapeError(f"more than one live state slot: {live_at}")
+    if slots[w] != halt:
+        slot_index, head = w, w
+    elif slots[w + 1] != halt:
+        slot_index, head = w + 1, w
+    else:
+        slot_index = next(i for i, slot in enumerate(slots) if slot != halt)
+        head = min(slot_index, tape.cell_count - 1)
     state = codec.state_name(slots[slot_index])
     if state is None:
         raise TapeError(
             f"slot {slot_index}: {slots[slot_index]} decodes to no known state"
         )
-    if tape.window in (slot_index - 1, slot_index):
-        head = tape.window
-    else:
-        head = min(slot_index, tape.cell_count - 1)
     return DecodedConfig(
-        symbols=tuple(symbols), state=state, head=head, origin=tape.origin
+        symbols=symbols, state=state, head=head, origin=tape.origin
     )

@@ -25,14 +25,16 @@ from codonmachine import (
 from codonmachine import oracle
 from codonmachine.oracle import (
     BisimVerdict,
+    ClassicalConfig,
     Divergence,
     _classical_step,
     _divergence,
     _rule_table,
+    _written_divergence,
     initial_config,
 )
 from codonmachine.sim import Arrival, iter_run, new_sim
-from codonmachine.tape import TapeError, decode_tape
+from codonmachine.tape import EncodedTape, TapeError, decode_tape
 
 from conftest import ONE_RULE_WALKER, random_partial_machine, random_total_machine
 
@@ -200,3 +202,17 @@ class TestVerdictChanges:
         bad = [dataclasses.replace(trna, write=(trna.write[0], "00", trna.write[2]))]
         verdict = bisimulate(spec, codec, trnas=bad)
         assert verdict.divergence == Divergence(1, "symbols", "0:00", "0:1")
+
+
+@pytest.mark.parametrize("window, written", [(0, 1), (1, 0)], ids=["moved-left", "moved-right"])
+def test_written_check_names_the_lower_position_first(window, written):
+    """With both the written cell and the cell moved onto wrong, the local
+    check reports the lower position, as the whole-tape compare would."""
+    spec, codec, _ = _walker()
+    one, halt, q1 = codec.symbol_write["1"], codec.halt_state, codec.state_write["q1"]
+    slots = [halt] * 3
+    slots[window + (window < written)] = q1  # flanking the window, away from the write
+    tape = EncodedTape((slots[0], one, slots[1], one, slots[2]), window)
+    cfg = ClassicalConfig({0: "0", 1: "0"}, "q1", window)
+    divergence = _written_divergence(spec, codec, 3, written, tape, cfg)
+    assert divergence == Divergence(3, "symbols", "0:1", "0:0")

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 
 import pytest
@@ -9,6 +12,8 @@ from codonmachine import (
     NondeterminismFault,
     Outcome,
     Side,
+    SimInstance,
+    TraceEvent,
     apply_trna,
     build_codec,
     compile_rule,
@@ -270,6 +275,77 @@ class TestConstantStep:
             tracemalloc.stop()
         assert event is not None and after.tape.cell_count == cells + 2
         assert peak < 8 * 1024, peak
+
+
+def rebuilt(obj):
+    """A copy of a dataclass instance built through its constructor."""
+    return type(obj)(**{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+
+
+class TestValueSemantics:
+    """Instances and events that the step builds without ``__init__`` behave
+    like ones built through their constructors."""
+
+    @pytest.fixture
+    def produced(self, adder_sim, adder_trnas):
+        stepped, event = step(adder_sim)
+        applied = apply_trna(adder_trnas[0], adder_sim)
+        *_, (halted, none) = iter_run(adder_sim)
+        assert none is None and halted.halted
+        return [stepped, event, applied, halted]
+
+    def test_equal_hash_and_repr_as_constructed(self, produced):
+        for obj in produced:
+            copy_ = rebuilt(obj)
+            assert obj == copy_ and copy_ == obj
+            assert hash(obj) == hash(copy_)
+            assert repr(obj) == repr(copy_)
+            assert vars(obj) == vars(copy_)
+
+    def test_fields_are_frozen(self, produced):
+        for obj in produced:
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obj.extra = 1
+
+    def test_replace_pickle_and_deepcopy_round_trip(self, produced):
+        for obj in produced:
+            for twin in (dataclasses.replace(obj), pickle.loads(pickle.dumps(obj)),
+                         copy.deepcopy(obj)):
+                assert type(twin) is type(obj)
+                assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+
+    def test_copies_step_on_alike(self, produced):
+        stepped = produced[0]
+        for twin in (rebuilt(stepped), dataclasses.replace(stepped),
+                     pickle.loads(pickle.dumps(stepped)), copy.deepcopy(stepped)):
+            assert step(twin) == step(stepped)
+
+    def test_successors_share_the_index(self, adder_sim, adder_trnas):
+        stepped, _ = step(adder_sim)
+        *_, (halted, _) = iter_run(adder_sim)
+        for after in (stepped, apply_trna(adder_trnas[0], adder_sim), halted):
+            assert after.index is adder_sim.index
+            assert after.trnas is adder_sim.trnas
+
+    def test_stepping_leaves_the_predecessor_as_it_was(self, adder_sim):
+        before = rebuilt(adder_sim)
+        after, event = step(adder_sim)
+        assert adder_sim == before and adder_sim.trial_count == 0
+        assert after.trial_count == event.trials
+
+    @pytest.mark.parametrize("arrival", list(Arrival))
+    def test_counts_add_up_over_utm55(self, utm, utm_codec, arrival):
+        sim = new_sim(utm, utm_codec, rng_seed=5)
+        final, trace, outcome = run(sim, arrival=arrival)
+        assert outcome is Outcome.HALTED
+        assert final.step_count == len(trace) == 98
+        assert [e.step for e in trace] == list(range(1, 99))
+        assert final.trial_count == sum(e.trials for e in trace)
+        assert all(isinstance(e, TraceEvent) for e in trace)
+        assert type(final) is SimInstance and final.index is sim.index
 
 
 class TestInvariants:

@@ -100,8 +100,7 @@ class TestGrow:
     def test_reads_by_absolute_position_after_left_grow(self):
         grown = grow(one_cell_tape(), "left", "10")
         assert (grown.origin, grown.window, grown.window_abs) == (-1, 1, 0)
-        assert [grown.cell_at(p) for p in (-1, 0)] == ["10", "01"]
-        assert [grown.slot_at(p) for p in (-1, 0, 1)] == ["111", "001", "111"]
+        assert [grown.triple_at(p) for p in (-1, 0)] == [("111", "10", "001"), ("001", "01", "111")]
         assert grown.window_triple() == ("001", "01", "111")
         assert grown.cell_count == 2
 
@@ -112,12 +111,10 @@ class TestGrow:
             tape = grow(tape, "left", "01")
         lo, n = tape.origin, tape.cell_count
         assert (lo, tape.window) == (-left_grows, left_grows)
-        assert (tape.cell_at(lo), tape.cell_at(lo + n - 1)) == (tape.fields[1], tape.fields[-2])
-        assert (tape.slot_at(lo), tape.slot_at(lo + n)) == (tape.fields[0], tape.fields[-1])
-        for read, pos in ((tape.cell_at, lo - 1), (tape.cell_at, lo + n),
-                          (tape.slot_at, lo - 1), (tape.slot_at, lo + n + 1)):
+        assert (tape.triple_at(lo), tape.triple_at(lo + n - 1)) == (tape.fields[:3], tape.fields[-3:])
+        for pos in (lo - 1, lo + n):
             with pytest.raises(IndexError, match="off the strand"):
-                read(pos)
+                tape.triple_at(pos)
 
     def test_forty_right_growths(self, adder_codec):
         tape = one_cell_tape()
@@ -151,12 +148,24 @@ class TestDecode:
 
     def test_two_live_slots_rejected(self, adder_codec):
         tape = EncodedTape(fields=("001", "01", "010", "10", "111"), window=0)
-        with pytest.raises(TapeError, match="more than one"):
+        with pytest.raises(TapeError, match=r"^more than one live state slot: \[0, 1\]$"):
+            decode_tape(tape, adder_codec)
+        tape = EncodedTape(fields=("111", "01", "010", "10", "111", "01", "001"), window=0)
+        with pytest.raises(TapeError, match=r"^more than one live state slot: \[1, 3\]$"):
             decode_tape(tape, adder_codec)
 
     def test_unknown_codon_rejected(self, adder_codec):
         tape = EncodedTape(fields=("001", "11", "111"), window=0)
-        with pytest.raises(TapeError, match="no known symbol"):
+        with pytest.raises(TapeError, match="^cell 0: 11 decodes to no known symbol$"):
+            decode_tape(tape, adder_codec)
+        # the first bad cell is named, whatever follows it
+        tape = EncodedTape(fields=("001", "01", "111", "00", "111", "11", "111"), window=0)
+        with pytest.raises(TapeError, match="^cell 1: 00 decodes to no known symbol$"):
+            decode_tape(tape, adder_codec)
+
+    def test_unknown_state_codon_rejected(self, adder_codec):
+        tape = EncodedTape(fields=("111", "01", "000", "10", "111"), window=0)
+        with pytest.raises(TapeError, match="^slot 1: 000 decodes to no known state$"):
             decode_tape(tape, adder_codec)
 
     def test_state_right_of_window(self, adder_codec):
@@ -234,10 +243,9 @@ def assert_same_tape(tape: EncodedTape, model: TupleTape):
     first, so they walk the zipper rather than a cached strand."""
     cells = model.cell_count
     positions = range(model.origin, model.origin + cells)
-    assert [tape.cell_at(p) for p in positions] == list(model.fields[1::2])
-    assert [tape.slot_at(p) for p in range(model.origin, model.origin + cells + 1)] == list(
-        model.fields[0::2]
-    )
+    assert [tape.triple_at(p) for p in positions] == [
+        model.fields[f : f + 3] for f in range(0, 2 * cells, 2)
+    ]
     w = 2 * model.window
     assert tape.window_triple() == model.fields[w : w + 3]
     assert (tape.window, tape.origin, tape.cell_count) == (model.window, model.origin, cells)
