@@ -12,6 +12,7 @@ Symbol codons must have even length; state codons may be odd or even.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,24 +34,33 @@ def enumerate_balanced(n: int) -> list[str]:
     """All length-n bit strings with exactly floor(n/2) ones, numerically ascending."""
     if n < 1:
         raise ValueError(f"codon length must be positive, got {n}")
+    return list(_balanced(n))
+
+
+def _balanced(n: int) -> Iterator[str]:
+    """The balanced codons of a positive length n, numerically ascending, on demand."""
     k = n // 2
     if k == 0:
-        return ["0" * n]
-    out = []
+        yield "0" * n
+        return
     v = (1 << k) - 1
     limit = 1 << n
     while v < limit:
-        out.append(format(v, f"0{n}b"))
+        yield format(v, f"0{n}b")
         # Gosper's hack: next integer with the same popcount
         low = v & -v
         ripple = v + low
         v = ripple | (((v ^ ripple) >> 2) // low)
-    return out
+
+
+_FLIP = str.maketrans("01", "10")
 
 
 def read_form(codon: str) -> str:
-    """Bitwise complement; involution mapping write forms to read forms."""
-    return "".join("1" if b == "0" else "0" for b in codon)
+    """Bitwise complement of a 0/1 string; an involution mapping write forms
+    to read forms. Any other character passes through unchanged, so callers
+    pass only bit strings (``build_codec`` admits no other codon)."""
+    return codon.translate(_FLIP)
 
 
 def min_lengths(num_symbols: int, num_states: int) -> tuple[int, int]:
@@ -189,8 +199,9 @@ def build_codec(
             f"of length {state_len}"
         )
 
-    symbol_write = dict(zip(spec.symbols, enumerate_balanced(symbol_len)))
-    state_write = dict(zip(spec.states, enumerate_balanced(state_len)))
+    # zip stops at the last name, so only that many codons are generated
+    symbol_write = dict(zip(spec.symbols, _balanced(symbol_len)))
+    state_write = dict(zip(spec.states, _balanced(state_len)))
     for name, bits in (ov.symbols or {}).items():
         if name not in symbol_write:
             raise CodecError(f"override for undeclared symbol {name!r}")
@@ -212,6 +223,8 @@ def build_codec(
                 )
             if kind == "state" and bits == halt:
                 raise CodecError(f"state {name!r} assigned the reserved halt codon {halt}")
+            if set(bits) - {"0", "1"}:
+                raise CodecError(f"{kind} {name!r}: codon {bits!r} is not a bit string")
             if not _is_balanced(bits):
                 raise CodecError(f"{kind} {name!r}: codon {bits} is not balanced")
         if len(set(assigned.values())) != len(assigned):

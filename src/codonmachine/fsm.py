@@ -71,15 +71,20 @@ def fsm_run(
 ) -> tuple[str, list[tuple[int, int]]]:
     """Run the compiled stream engine; returns the final state and a
     (position, rule_id) trace entry per input symbol."""
-    by_match = {(t.state_match, t.symbol_match): t for t in compile_fsm(spec, codec)}
+    # keyed on the write forms the match fields lock onto, so a lookup takes
+    # the state and symbol codons as they are
+    by_match = {
+        (read_form(t.state_match), read_form(t.symbol_match)): t
+        for t in compile_fsm(spec, codec)
+    }
     symbol_write = codec.symbol_write
-    forms = {c: read_form(c) for c in (*codec.state_write.values(), *symbol_write.values())}
     state_codon = codec.state_write[spec.initial_state]
     trace: list[tuple[int, int]] = []
     for i, symbol in enumerate(input_symbols):
-        if symbol not in symbol_write:
+        symbol_codon = symbol_write.get(symbol)
+        if symbol_codon is None:
             raise FsmError(f"input position {i}: undeclared symbol {symbol!r}")
-        fired = by_match.get((forms.get(state_codon), forms[symbol_write[symbol]]))
+        fired = by_match.get((state_codon, symbol_codon))
         if fired is None:
             raise FsmCompileCorruption(
                 f"no tRNA matched state codon {state_codon} on {symbol!r}"

@@ -57,6 +57,8 @@ class Move(Enum):
     HALT = "H"
 
 
+_MOVES = {m.value: m for m in Move}
+
 _DELTA_ALIAS = {"delta": "δ"}
 
 
@@ -105,29 +107,30 @@ def validate(spec: MachineSpec) -> list[str]:
         v.append("duplicate state declaration")
     seen: dict[tuple[str, str], int] = {}
     for i, r in enumerate(spec.rules):
-        where = f"rule {i + 1}"
+        bad: list[str] = []
         if r.state not in declared_states:
-            v.append(f"{where}: undeclared state {r.state!r}")
+            bad.append(f"undeclared state {r.state!r}")
         if r.read_symbol not in declared_symbols:
-            v.append(f"{where}: undeclared read symbol {r.read_symbol!r}")
+            bad.append(f"undeclared read symbol {r.read_symbol!r}")
         if r.write_symbol not in declared_symbols:
-            v.append(f"{where}: undeclared write symbol {r.write_symbol!r}")
+            bad.append(f"undeclared write symbol {r.write_symbol!r}")
         if r.move is Move.HALT:
             if r.next_state is not None:
-                v.append(f"{where}: halt rule must not name a next state")
+                bad.append("halt rule must not name a next state")
         else:
             if r.next_state is None:
-                v.append(f"{where}: missing next state")
+                bad.append("missing next state")
             elif r.next_state not in declared_states:
-                v.append(f"{where}: undeclared next state {r.next_state!r}")
+                bad.append(f"undeclared next state {r.next_state!r}")
         key = (r.state, r.read_symbol)
         if key in seen:
-            v.append(
-                f"{where}: duplicate (state, symbol) pair {key!r} "
-                f"also used by rule {seen[key] + 1}"
+            bad.append(
+                f"duplicate (state, symbol) pair {key!r} also used by rule {seen[key] + 1}"
             )
         else:
             seen[key] = i
+        if bad:
+            v.extend(f"rule {i + 1}: {message}" for message in bad)
     if spec.default_symbol not in declared_symbols:
         v.append(f"undeclared default symbol {spec.default_symbol!r}")
     if spec.initial_state not in declared_states:
@@ -189,9 +192,8 @@ def _parse_rule(value: str, line_no: int) -> Rule:
             line_no,
         )
     state, read, write, move_token, next_token = tokens
-    try:
-        move = Move(move_token)
-    except ValueError:
+    move = _MOVES.get(move_token)
+    if move is None:
         raise SpecSyntaxError(f"bad move {move_token!r}, expected L, R or H", line_no)
     if move is Move.HALT:
         if next_token != "-":

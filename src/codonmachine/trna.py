@@ -83,15 +83,12 @@ def compile_rule(rule: Rule, rule_id: int, codec: Codec, sides: frozenset[Side])
             write = (next_state, write_symbol, halt)
         else:
             write = (halt, write_symbol, next_state)
+    read_state, read_symbol = read_form(state), read_form(symbol)
     reads = []
     if Side.STATE_ON_LEFT in sides:
-        reads.append(
-            (Side.STATE_ON_LEFT, (read_form(state), read_form(symbol), zeros))
-        )
+        reads.append((Side.STATE_ON_LEFT, (read_state, read_symbol, zeros)))
     if Side.STATE_ON_RIGHT in sides:
-        reads.append(
-            (Side.STATE_ON_RIGHT, (zeros, read_form(symbol), read_form(state)))
-        )
+        reads.append((Side.STATE_ON_RIGHT, (zeros, read_symbol, read_state)))
     return Trna(
         rule_id=rule_id,
         rule=rule,
