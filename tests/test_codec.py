@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from codonmachine import (
     CodecError,
     CodecOverrides,
+    FsmSpec,
     build_codec,
     capacity,
     enumerate_balanced,
@@ -98,6 +99,14 @@ class TestReadForm:
     def test_involution(self, bits):
         assert read_form(read_form(bits)) == bits
 
+    def test_complement_of_every_bit_string(self):
+        for n in range(1, 13):
+            mask = (1 << n) - 1
+            for v in range(1 << n):
+                bits = format(v, f"0{n}b")
+                assert read_form(bits) == format(v ^ mask, f"0{n}b")
+                assert read_form(read_form(bits)) == bits
+
     def test_no_balanced_read_form_is_zero(self):
         for n in range(1, 13):
             for codon in enumerate_balanced(n):
@@ -152,6 +161,33 @@ class TestBuildCodec:
     def test_wrong_length_rejected(self, adder):
         with pytest.raises(CodecError, match="length"):
             build_codec(adder, CodecOverrides(symbols={"0": "0101"}))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (CodecOverrides(symbols={"0": "1a"}), "symbol '0': codon '1a' is not a bit string"),
+            (CodecOverrides(states={"q2": "0x1"}), "state 'q2': codon '0x1' is not a bit string"),
+            (CodecOverrides(symbols={"1": " 1"}), "symbol '1': codon ' 1' is not a bit string"),
+        ],
+    )
+    def test_non_binary_override_rejected(self, adder, overrides, message):
+        # each codon has the right length and as many '1's as a balanced one
+        with pytest.raises(CodecError) as info:
+            build_codec(adder, overrides)
+        assert str(info.value) == message
+
+    def test_default_assignment_is_enumeration_prefix(self):
+        for n in range(1, 11):
+            codons = enumerate_balanced(n)
+            for count in {1, len(codons) // 2 or 1, len(codons)}:
+                names = tuple(f"n{i}" for i in range(count))
+                spec = FsmSpec(symbols=("a",), states=names, transitions={}, initial_state="n0")
+                codec = build_codec(spec, CodecOverrides(state_len=n))
+                assert list(codec.state_write.values()) == codons[:count]
+                if n % 2 == 0:
+                    spec = FsmSpec(symbols=names, states=("a",), transitions={}, initial_state="a")
+                    codec = build_codec(spec, CodecOverrides(symbol_len=n))
+                    assert list(codec.symbol_write.values()) == codons[:count]
 
     def test_undeclared_override_rejected(self, adder):
         with pytest.raises(CodecError, match="undeclared"):

@@ -213,6 +213,42 @@ class TestValidateAsData:
         assert "head" in violations[0]
 
 
+    def test_every_violation_in_order(self):
+        broken = MachineSpec(
+            symbols=("0", "1", "0"),
+            states=("q1", "q2", "q2"),
+            rules=(
+                Rule("q1", "0", "1", Move.RIGHT, "q2"),
+                Rule("q9", "x", "y", Move.LEFT, None),
+                Rule("q1", "0", "0", Move.HALT, "q1"),
+                Rule("q2", "1", "1", Move.RIGHT, "q7"),
+                Rule("q2", "1", "z", Move.HALT, None),
+                Rule("q2", "0", "0", Move.LEFT, "q1"),
+            ),
+            default_symbol="#",
+            initial_state="q0",
+            tape=("0", "2", "1"),
+            head=3,
+        )
+        assert validate(broken) == [
+            "duplicate symbol declaration",
+            "duplicate state declaration",
+            "rule 2: undeclared state 'q9'",
+            "rule 2: undeclared read symbol 'x'",
+            "rule 2: undeclared write symbol 'y'",
+            "rule 2: missing next state",
+            "rule 3: halt rule must not name a next state",
+            "rule 3: duplicate (state, symbol) pair ('q1', '0') also used by rule 1",
+            "rule 4: undeclared next state 'q7'",
+            "rule 5: undeclared write symbol 'z'",
+            "rule 5: duplicate (state, symbol) pair ('q2', '1') also used by rule 4",
+            "undeclared default symbol '#'",
+            "undeclared initial state 'q0'",
+            "tape cell 1: undeclared symbol '2'",
+            "head 3 outside tape of length 3",
+        ]
+
+
 class TestCorpus:
     def test_names(self, corpus):
         assert sorted(corpus) == ["incrementer", "parity", "unary_adder", "utm55"]

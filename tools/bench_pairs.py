@@ -86,6 +86,8 @@ def _result(stdout: str) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    # no bytecode cache is read or written, and the package comes from the
+    # checkout's own src/ only
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPYCACHEPREFIX", None)
     env.pop("PYTHONPATH", None)
