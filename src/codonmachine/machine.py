@@ -107,30 +107,29 @@ def validate(spec: MachineSpec) -> list[str]:
         v.append("duplicate state declaration")
     seen: dict[tuple[str, str], int] = {}
     for i, r in enumerate(spec.rules):
-        bad: list[str] = []
+        where = f"rule {i + 1}"
         if r.state not in declared_states:
-            bad.append(f"undeclared state {r.state!r}")
+            v.append(f"{where}: undeclared state {r.state!r}")
         if r.read_symbol not in declared_symbols:
-            bad.append(f"undeclared read symbol {r.read_symbol!r}")
+            v.append(f"{where}: undeclared read symbol {r.read_symbol!r}")
         if r.write_symbol not in declared_symbols:
-            bad.append(f"undeclared write symbol {r.write_symbol!r}")
+            v.append(f"{where}: undeclared write symbol {r.write_symbol!r}")
         if r.move is Move.HALT:
             if r.next_state is not None:
-                bad.append("halt rule must not name a next state")
+                v.append(f"{where}: halt rule must not name a next state")
         else:
             if r.next_state is None:
-                bad.append("missing next state")
+                v.append(f"{where}: missing next state")
             elif r.next_state not in declared_states:
-                bad.append(f"undeclared next state {r.next_state!r}")
+                v.append(f"{where}: undeclared next state {r.next_state!r}")
         key = (r.state, r.read_symbol)
         if key in seen:
-            bad.append(
-                f"duplicate (state, symbol) pair {key!r} also used by rule {seen[key] + 1}"
+            v.append(
+                f"{where}: duplicate (state, symbol) pair {key!r} "
+                f"also used by rule {seen[key] + 1}"
             )
         else:
             seen[key] = i
-        if bad:
-            v.extend(f"rule {i + 1}: {message}" for message in bad)
     if spec.default_symbol not in declared_symbols:
         v.append(f"undeclared default symbol {spec.default_symbol!r}")
     if spec.initial_state not in declared_states:

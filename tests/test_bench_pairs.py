@@ -10,12 +10,15 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+# parent runs: IQR 4.5 is 4% of the median 104.5, within every bound
+PARENT = [100.0 + i for i in range(10)]
+# IQR 4.5 is 31% of the median 14.5, too wide for a 25% bound
+WIDE = [10.0 + i for i in range(10)]
 
 
 class TestQuartiles:
     def test_inclusive_quartiles(self):
-        assert bench_pairs.quartiles(PARENT) == {
+        assert bench_pairs.quartiles(WIDE) == {
             "median": 14.5, "q1": 12.25, "q3": 16.75, "iqr": 4.5,
         }
 
@@ -31,48 +34,83 @@ class TestPairsWon:
         assert bench_pairs.pairs_won([5, 5, 5], [4, 5, 6], "higher") == 1
 
 
+HEALTHY = {
+    "failed": {"parent": [0.0] * 10, "change": [0.0] * 10},
+    "correct": {"parent": [True] * 10, "change": [True] * 10},
+}
+
+
+def verdict(parent, change, better="lower", bound=0.25, **health):
+    return bench_pairs.summarise(parent, change, better, bound,
+                                 **{**HEALTHY, **health})["verdict"]
+
+
 class TestSummarise:
     def test_claim_needs_nine_tenths_and_more_than_the_parent_iqr(self):
         change = [p - 5.0 for p in PARENT]  # 10/10 won, gain 5.0 > IQR 4.5
-        s = bench_pairs.summarise(PARENT, change, "lower", 0.25)
+        s = bench_pairs.summarise(PARENT, change, "lower", 0.25, **HEALTHY)
         assert (s["pairs_won"], s["pairs"], s["verdict"]) == (10, 10, "claim")
-        assert s["ratio"] == pytest.approx(9.5 / 14.5)
-        assert s["change"]["median"] == 9.5
+        assert s["ratio"] == pytest.approx(99.5 / 104.5)
+        assert s["change"]["median"] == 99.5
 
     def test_nine_of_ten_is_enough(self):
         change = [p - 5.0 for p in PARENT[:9]] + [PARENT[9]]
-        s = bench_pairs.summarise(PARENT, change, "lower", 0.25)
+        s = bench_pairs.summarise(PARENT, change, "lower", 0.25, **HEALTHY)
         assert (s["pairs_won"], s["verdict"]) == (9, "claim")
 
     def test_eight_of_ten_is_not(self):
         change = [p - 5.0 for p in PARENT[:8]] + PARENT[8:]
-        s = bench_pairs.summarise(PARENT, change, "lower", 0.25)
+        s = bench_pairs.summarise(PARENT, change, "lower", 0.25, **HEALTHY)
         assert (s["pairs_won"], s["verdict"]) == (8, "no claim")
 
     def test_gain_within_the_parent_iqr_is_no_claim(self):
         change = [p - 4.0 for p in PARENT]  # 10/10 won, but gain 4.0 <= IQR 4.5
-        s = bench_pairs.summarise(PARENT, change, "lower", 0.25)
-        assert (s["pairs_won"], s["verdict"]) == (10, "no claim")
+        assert verdict(PARENT, change) == "no claim"
 
     def test_higher_is_better(self):
         change = [p + 5.0 for p in PARENT]
-        assert bench_pairs.summarise(PARENT, change, "higher", 0.25)["verdict"] == "claim"
-        assert bench_pairs.summarise(PARENT, change, "lower", 0.25)["verdict"] == "regression"
+        assert verdict(PARENT, change, "higher") == "claim"
+        assert verdict(PARENT, change, "lower") == "no claim"
 
     def test_regression_past_the_bound(self):
-        # parent median 14.5, bound 10%: worse by 1.45 or less is no regression
-        assert bench_pairs.summarise(PARENT, [p + 1.4 for p in PARENT], "lower", 0.1)[
-            "verdict"
-        ] == "no claim"
-        assert bench_pairs.summarise(PARENT, [p + 1.5 for p in PARENT], "lower", 0.1)[
-            "verdict"
-        ] == "regression"
+        # parent median 104.5, bound 10%: worse by 10.45 or less is no regression
+        assert verdict(PARENT, [p + 10.4 for p in PARENT], bound=0.1) == "no claim"
+        assert verdict(PARENT, [p + 10.5 for p in PARENT], bound=0.1) == "regression"
 
-    def test_sides_must_pair_up(self):
+    def test_more_failed_operations_withhold_the_claim(self):
+        change = [p - 5.0 for p in PARENT]
+        failed = {"parent": [0.0] * 10, "change": [0.0] * 9 + [0.01]}
+        assert verdict(PARENT, change, failed=failed) == "failing"
+        # as many failures as the parent leave the claim standing
+        same = {"parent": [0.01] + [0.0] * 9, "change": [0.0] * 9 + [0.01]}
+        assert verdict(PARENT, change, failed=same) == "claim"
+
+    def test_an_incorrect_change_run_withholds_the_claim(self):
+        change = [p - 5.0 for p in PARENT]
+        correct = {"parent": [True] * 10, "change": [True] * 9 + [False]}
+        assert verdict(PARENT, change, correct=correct) == "failing"
+        # an incorrect parent run does not count against the change
+        correct = {"parent": [False] * 10, "change": [True] * 10}
+        assert verdict(PARENT, change, correct=correct) == "claim"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        # 10/10 won and a gain of 5.0 over an IQR of 4.5, yet the runs overlap
+        assert verdict(WIDE, [w - 5.0 for w in WIDE]) == "unresolved"
+        assert verdict(WIDE, [w + 1.0 for w in WIDE]) == "unresolved"
+        # a change whose own runs spread too widely is unresolved too
+        assert verdict(PARENT, [60.0 + 10 * i for i in range(10)]) == "unresolved"
+
+    def test_wide_spread_is_resolved_when_every_change_run_beats_every_parent_run(self):
+        assert verdict(WIDE, [w - 10.0 for w in WIDE]) == "claim"
+        assert verdict(WIDE, [w + 10.0 for w in WIDE], "higher") == "claim"
+
+    def test_sides_must_pair_up_over_at_least_ten_pairs(self):
         with pytest.raises(ValueError):
-            bench_pairs.summarise(PARENT, PARENT[:-1], "lower", 0.25)
+            verdict(PARENT, PARENT[:-1])
         with pytest.raises(ValueError):
-            bench_pairs.summarise([], [], "lower", 0.25)
+            verdict(PARENT[:9], [p - 5.0 for p in PARENT[:9]])
+        with pytest.raises(ValueError):
+            verdict([], [])
 
 
 def test_result_is_the_last_line():

@@ -1,13 +1,14 @@
 """Alternating parent/change pairs of the benchmark, summarised per metric.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload utm55_jobs \\
-        --seed 1 2 --pairs 10 --seconds 30 --out BENCH_11.json
+        --seed 1 2 --out BENCH_11.json
 
-Both commits are checked out with ``git worktree add`` into a scratch
-directory (``--workdir``, a temporary one by default) and removed again at
-the end. Each pair runs ``python3 perfbench/run.py`` once in each checkout,
-one run at a time, the parent first in even-numbered pairs and the change
-first in odd ones. Every run gets the same environment with
+Both commits are checked out with ``git worktree add`` into a temporary
+directory and removed again at the end. Each of the 10 pairs per workload and
+seed runs ``python3 perfbench/run.py`` once in each checkout, for
+``BENCHMARK.json``'s ``run_seconds``, one run at a time, the parent first in
+even-numbered pairs and the change first in odd ones. Every run gets the same
+environment with
 ``PYTHONDONTWRITEBYTECODE=1``, and a fresh worktree holds no ``__pycache__``,
 so both sides compile the package from source on every import: a ``.pyc``
 cache on one side only moves ``setup_s`` about 2x and ``peak_rss_mb`` by
@@ -16,8 +17,14 @@ cache on one side only moves ``setup_s`` about 2x and ``peak_rss_mb`` by
 The JSON written to ``--out`` holds, per workload and seed, every run's
 metrics and, per end-to-end metric of ``BENCHMARK.json``: each side's median
 and quartiles, the change/parent ratio of the medians, the pairs the change
-won (ties count for neither side) and a verdict:
+won (ties count for neither side) and a verdict, the first of these that
+holds:
 
+* ``failing``: a larger share of the change's operations failed than of the
+  parent's, or a change run was not correct; no gain counts then;
+* ``unresolved``: on either side the interquartile range is wider than the
+  metric's bound times that side's median, so the runs spread too widely to
+  tell, unless every change run is better than every parent run;
 * ``claim``: the change won at least nine tenths of the pairs and its median
   is better than the parent's by more than the parent's interquartile range;
 * ``regression``: the change's median is worse than the parent's by more than
@@ -37,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 CLAIM_SHARE = 0.9
 
 
@@ -56,15 +64,27 @@ def pairs_won(parent: list[float], change: list[float], better: str) -> int:
     return sum(c > p for p, c in zip(parent, change))
 
 
-def summarise(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """One metric's sides, ratio, pairs won and verdict over paired runs."""
-    if len(parent) != len(change) or not parent:
-        raise ValueError("need the same positive number of runs on each side")
+def summarise(parent: list[float], change: list[float], better: str, bound: float,
+              failed: dict[str, list[float]], correct: dict[str, list[bool]]) -> dict:
+    """One metric's sides, ratio, pairs won and verdict over paired runs.
+
+    ``failed`` and ``correct`` map ``"parent"`` and ``"change"`` to each run's
+    failed share of attempted operations and its ``correct`` flag.
+    """
+    if len(parent) != len(change) or len(parent) < PAIRS:
+        raise ValueError(f"need the same number of runs, at least {PAIRS}, on each side")
     p, c = quartiles(parent), quartiles(change)
     won = pairs_won(parent, change, better)
     # the change's gain over the parent, positive when the change is better
     gain = p["median"] - c["median"] if better == "lower" else c["median"] - p["median"]
-    if won >= CLAIM_SHARE * len(parent) and gain > p["iqr"]:
+    separated = (max(change) < min(parent) if better == "lower"
+                 else min(change) > max(parent))
+    if (statistics.fmean(failed["change"]) > statistics.fmean(failed["parent"])
+            or not all(correct["change"])):
+        verdict = "failing"
+    elif not separated and any(s["iqr"] > bound * abs(s["median"]) for s in (p, c)):
+        verdict = "unresolved"
+    elif won >= CLAIM_SHARE * len(parent) and gain > p["iqr"]:
         verdict = "claim"
     elif -gain > bound * abs(p["median"]):
         verdict = "regression"
@@ -104,29 +124,32 @@ def _git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def measure(checkouts: dict[str, Path], workload: str, seed: int, pairs: int,
-            seconds: float, spec: dict) -> dict:
+def measure(checkouts: dict[str, Path], workload: str, seed: int, spec: dict) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(checkouts[side], workload, seed, seconds)
+            result = run_once(checkouts[side], workload, seed, spec["run_seconds"])
             runs[side].append(result)
             values = {k: round(v["value"], 6) for k, v in result["metrics"].items()}
             print(f"{workload} seed={seed} pair={i + 1} {side}: failed={result['failed']} "
                   f"correct={result['correct']} {values}", flush=True)
+    failed = {side: [r["failed"] / r["attempted"] if r["attempted"] else 0.0 for r in rs]
+              for side, rs in runs.items()}
+    correct = {side: [r["correct"] for r in rs] for side, rs in runs.items()}
     metrics = {}
     for m in spec["end_to_end"]:
         name = m["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                          **summarise(values["parent"], values["change"], m["better"],
-                                     m["bound"])}
+                                     m["bound"], failed, correct)}
     return {
         "workload": workload,
         "seed": seed,
+        "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
-        "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
+        "correct": correct,
         "metrics": metrics,
         "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()} for r in rs]
                  for side, rs in runs.items()},
@@ -139,34 +162,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", default="HEAD", help="changed commit (default HEAD)")
     parser.add_argument("--workload", nargs="+", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="where the worktrees go (default: a temporary directory)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in revs}
         try:
             for side, rev in revs.items():
                 _git("worktree", "add", "--detach", str(checkouts[side]), rev)
-            results = [measure(checkouts, w, seed, args.pairs, seconds, spec)
+            results = [measure(checkouts, w, seed, spec)
                        for w in workloads for seed in args.seed]
         finally:
             for path in checkouts.values():
                 if path.exists():
                     _git("worktree", "remove", "--force", str(path))
             _git("worktree", "prune")
-    report = {"parent": revs["parent"], "change": revs["change"], "pairs": args.pairs,
-              "seconds": seconds, "bytecode": "none (PYTHONDONTWRITEBYTECODE=1, fresh worktrees)",
+    report = {"parent": revs["parent"], "change": revs["change"], "pairs": PAIRS,
+              "seconds": spec["run_seconds"],
+              "bytecode": "none (PYTHONDONTWRITEBYTECODE=1, fresh worktrees)",
               "results": results}
     args.out.write_text(json.dumps(report, indent=1, ensure_ascii=False) + "\n",
                         encoding="utf-8")
