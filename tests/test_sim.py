@@ -391,4 +391,6 @@ def test_window_index_records_each_clashing_window(corpus, mode):
     index = sim_module.WindowIndex((*trnas, twin))
     assert len(index.clashes) == len(trnas[0].reads)
     assert all(ids == [trnas[0].rule_id, twin.rule_id] for ids in index.clashes.values())
+    # each clashing window keeps the first row in scan order
+    assert all(index.rows[w][1] is trnas[0] for w in index.clashes)
     assert index.pool == sum(len(t.reads) for t in trnas) + len(twin.reads)
