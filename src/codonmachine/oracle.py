@@ -130,32 +130,52 @@ class BisimVerdict:
 
 
 def _compare(
-    spec: MachineSpec, step: int, cfg: ClassicalConfig, cells, states: list[str], head
+    spec: MachineSpec,
+    step: int,
+    cfg: ClassicalConfig,
+    cells,
+    states: list[str],
+    head,
+    codec: Codec | None = None,
 ) -> Divergence | None:
     """The first disagreement with ``cfg``: halting, then ``cells`` ((position,
-    symbol) in order), then the live slots' ``states``, then ``head``."""
+    symbol) in order), then the live slots' ``states``, then ``head``.
+
+    Cells and states are names, or with ``codec`` write codons, which are
+    compared with the codons of the classical names and looked up by name only
+    for a report; a codon that has no name is reported raw."""
     halted = not states
     if halted != (cfg.state is None):
         return Divergence(step, "halting", str(halted), str(cfg.state is None))
+    symbols, default = cfg.symbols, spec.default_symbol
     for p, m in cells:
-        c = cfg.symbols.get(p, spec.default_symbol)
-        if m != c:
-            return Divergence(step, "symbols", f"{p}:{m}", f"{p}:{c}")
+        c = symbols.get(p, default)
+        if m != (c if codec is None else codec.symbol_write.get(c)):
+            shown = m if codec is None else codec.symbol_name(m) or m
+            return Divergence(step, "symbols", f"{p}:{shown}", f"{p}:{c}")
     if halted:
         return None
-    if states != [cfg.state]:
-        return Divergence(step, "state", ",".join(states), str(cfg.state))
+    if states != [cfg.state if codec is None else codec.state_write.get(cfg.state)]:
+        shown = states if codec is None else [codec.state_name(s) or s for s in states]
+        return Divergence(step, "state", ",".join(shown), str(cfg.state))
     if head != cfg.head:
         return Divergence(step, "head", str(head), str(cfg.head))
     return None
 
 
 def _divergence(
-    spec: MachineSpec, step: int, decoded: DecodedConfig, cfg: ClassicalConfig
+    spec: MachineSpec,
+    step: int,
+    decoded: DecodedConfig,
+    cfg: ClassicalConfig,
+    extent: tuple[int, int] | None = None,
 ) -> Divergence | None:
-    """Compare a whole decoded tape over every position either side holds."""
+    """Compare a whole decoded tape over every position either side holds.
+    ``extent`` is a (lo, hi) range holding every position of ``cfg.symbols``,
+    such as the one ``bisimulate`` tracks; without it the keys are scanned."""
     mech, origin, pad = decoded.symbols, decoded.origin, (spec.default_symbol,)
-    lo, hi = min(origin, *cfg.symbols), max(origin + len(mech) - 1, *cfg.symbols)
+    lo, hi = extent or (min(cfg.symbols, default=origin), max(cfg.symbols, default=origin))
+    lo, hi = min(lo, origin), max(hi, origin + len(mech) - 1)
     padded = pad * (origin - lo) + mech + pad * (hi + 1 - origin - len(mech))
     classical = tuple(map(cfg.symbols.get, range(lo, hi + 1), repeat(spec.default_symbol)))
     cells = () if padded == classical else zip(range(lo, hi + 1), padded)
@@ -168,20 +188,32 @@ def _written_divergence(
 ) -> Divergence | None:
     """Compare what one step wrote on ``tape``: cell ``pos``, the slots on either
     side, and the cell the window moved onto (which a grow adds), by absolute
-    position, as a left grow shifts indices. Unnamed codons are reported raw."""
+    position, as a left grow shifts indices. Codons are compared, not names."""
     window = tape.window_abs
     slot, cell, next_slot = tape.triple_at(pos)
     seen = tape.window_triple()[1]
-    written = (pos, codec.symbol_name(cell) or cell)
-    moved = (window, codec.symbol_name(seen) or seen)
+    halt, write = codec.halt_state, codec.symbol_write
+    symbols, default = cfg.symbols, spec.default_symbol
+    # what a correct step leaves: the live state on the slot between the
+    # written cell and the window, the halt codon on the other
+    live = halt if cfg.state is None else codec.state_write.get(cfg.state)
+    flank = (halt, live) if pos == window - 1 else (live, halt) if pos == window + 1 else None
+    if (
+        live != halt
+        and (slot, next_slot) == flank
+        and window == cfg.head
+        and cell == write.get(symbols.get(pos, default))
+        and seen == write.get(symbols.get(window, default))
+    ):
+        return None
+    written, moved = (pos, cell), (window, seen)
     cells = (written, moved) if pos <= window else (moved, written)
-    halt = codec.halt_state
-    states = [codec.state_name(s) or s for s in (slot, next_slot) if s != halt]
+    states = [s for s in (slot, next_slot) if s != halt]
     first = pos if slot != halt else pos + 1  # the leftmost live slot, if any
     head = window
     if states and first - window not in (0, 1):
         head = f"slot {first}, window {window}"
-    return _compare(spec, step, cfg, cells, states, head)
+    return _compare(spec, step, cfg, cells, states, head, codec)
 
 
 def bisimulate(
@@ -212,14 +244,16 @@ def bisimulate(
     sim = new_sim(spec, codec, mode, trnas=trnas)
     table = _rule_table(spec)
     cfg = initial_config(spec)
+    # the classical extent, as tm_run tracks it: initial cells and every head
+    lo, hi = min(0, cfg.head), max(len(spec.tape) - 1, cfg.head)
     steps, written = 0, None  # absolute position of the cell the last step wrote
-    divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+    divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg, (lo, hi))
     for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):
         # check the tape this step starts from, then whether both sides fire
         if divergence is None and written is not None:
             divergence = _written_divergence(spec, codec, steps, written, sim.tape, cfg)
         if divergence is None and event is None:
-            divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+            divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg, (lo, hi))
         fired = _classical_step(table, spec.default_symbol, cfg)
         if divergence is None and fired != (event is not None):
             divergence = Divergence(steps, "halting", str(event is None), str(not fired))
@@ -227,11 +261,14 @@ def bisimulate(
             return BisimVerdict(False, steps, None, divergence)
         written, sim = sim.tape.window_abs, after
         steps += event is not None
+        lo, hi = min(lo, cfg.head), max(hi, cfg.head)
     if not sim.halted:
         # iter_run stopped at the budget after its halt check found a rule
         _classical_step(table, spec.default_symbol, cfg, probe=True)
         divergence = _written_divergence(spec, codec, steps, written, sim.tape, cfg)
-        divergence = divergence or _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+        divergence = divergence or _divergence(
+            spec, steps, decode_tape(sim.tape, codec), cfg, (lo, hi)
+        )
         if divergence:
             return BisimVerdict(False, steps, None, divergence)
     return BisimVerdict(True, steps, Outcome.HALTED if sim.halted else Outcome.STEP_LIMIT)

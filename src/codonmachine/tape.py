@@ -228,7 +228,7 @@ def encode_tape(spec: MachineSpec, codec: Codec) -> EncodedTape:
     if not spec.tape:
         raise TapeError("cannot encode an empty tape: no head cell")
     try:
-        cells = [codec.symbol_write[s] for s in spec.tape]
+        cells = list(map(codec.symbol_write.__getitem__, spec.tape))
     except KeyError as e:
         raise TapeError(f"tape symbol {e.args[0]!r} has no codon") from None
     if spec.initial_state not in codec.state_write:
