@@ -6,7 +6,10 @@ simulation. The mechanical tape must agree with the classical configuration
 on state, absolute head position, and the symbol content of every position
 either run has touched, and on every step both must fire a rule or both must
 halt. Whole tapes are decoded and compared only at the start and at the end
-(the halt or the budget); in between, each step is checked where it wrote.
+(the halt or the budget), over the extent the classical run has reached; in
+between, each step is checked where it wrote. That check compares codons with
+the codons of the classical names, and looks a name up only to report a
+divergence.
 """
 
 from __future__ import annotations
@@ -194,13 +197,12 @@ def _written_divergence(
     seen = tape.window_triple()[1]
     halt, write = codec.halt_state, codec.symbol_write
     symbols, default = cfg.symbols, spec.default_symbol
-    # what a correct step leaves: the live state on the slot between the
-    # written cell and the window, the halt codon on the other
-    live = halt if cfg.state is None else codec.state_write.get(cfg.state)
+    # what a step leaves while the machine runs: the live state on the slot
+    # between the written cell and the window, the halt codon on the other
+    live = codec.state_write.get(cfg.state)
     flank = (halt, live) if pos == window - 1 else (live, halt) if pos == window + 1 else None
     if (
-        live != halt
-        and (slot, next_slot) == flank
+        (slot, next_slot) == flank
         and window == cfg.head
         and cell == write.get(symbols.get(pos, default))
         and seen == write.get(symbols.get(window, default))
@@ -231,8 +233,13 @@ def bisimulate(
     corrupted compile is caught).
 
     Whole tapes are compared at the start and at the end: at a halt before
-    the classical side probes for a stuck rule, at the budget after it. Each
-    step in between is checked by induction. If the tape equals the classical
+    the classical side probes for a stuck rule, at the budget after it. The
+    classical extent, the initial cells and every head position, is tracked
+    as ``tm_run`` tracks it, so those compares do not scan the sparse tape.
+    Each step in between is checked by induction, on codons: the written
+    cell, the cell the window moved onto and both slots are compared with the
+    codons of the classical symbols and state, and names are looked up only
+    to report a divergence, so a raw codon that spells a name never passes. If the tape equals the classical
     configuration and its one live slot flanks the window, every other slot
     holds the halt codon, so the matched window holds that slot. The write
     then replaces slot[w], cell[w] and slot[w+1], the only cells a step can

@@ -264,6 +264,10 @@ def decode_tape(tape: EncodedTape, codec: Codec) -> DecodedConfig:
     The head is the window cell when the live slot flanks it (a slot between
     two cells belongs to whichever side the machine is facing); for a tape
     not produced by a simulation the state is taken to sit left of its cell.
+
+    Each cell is named by one ``Codec.symbol_name`` call, never by the reverse
+    dict directly: perfbench counts reverse lookups by wrapping that method,
+    and its smoke test requires at least one per decoded cell.
     """
     cells = tape.symbol_cells
     symbols = tuple(map(codec.symbol_name, cells))

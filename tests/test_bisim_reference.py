@@ -9,17 +9,21 @@ misreads a live slot that has left the window.
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
 from codonmachine import (
+    CodecOverrides,
     CompileMode,
     Outcome,
     bisimulate,
     build_codec,
     compile_ruleset,
     corpus_codec,
+    enumerate_balanced,
     parse_machine_spec,
+    tm_run,
     validate,
 )
 from codonmachine import oracle
@@ -28,6 +32,7 @@ from codonmachine.oracle import (
     ClassicalConfig,
     Divergence,
     _classical_step,
+    _compare,
     _divergence,
     _rule_table,
     _written_divergence,
@@ -37,6 +42,8 @@ from codonmachine.sim import Arrival, iter_run, new_sim
 from codonmachine.tape import EncodedTape, TapeError, decode_tape
 
 from conftest import ONE_RULE_WALKER, random_partial_machine, random_total_machine
+
+BOUNCE = Path(__file__).resolve().parent / "golden" / "cli" / "bounce.spec"
 
 
 def reference_bisimulate(spec, codec, mode, max_steps, trnas):
@@ -136,6 +143,61 @@ def test_same_verdicts_as_the_full_compare_reference():
     assert all(counts.values()), counts
 
 
+def _overridden_codec(rng, spec):
+    """Every name on a random balanced codon, at the least lengths or wider."""
+    least = build_codec(spec)
+    symbol_len = least.symbol_len + rng.choice([0, 2])
+    state_len = least.state_len + rng.choice([0, 1, 2])
+    symbols = rng.sample(enumerate_balanced(symbol_len), len(spec.symbols))
+    states = rng.sample(enumerate_balanced(state_len), len(spec.states))
+    return build_codec(spec, CodecOverrides(
+        symbol_len=symbol_len,
+        state_len=state_len,
+        symbols=dict(zip(spec.symbols, symbols)),
+        states=dict(zip(spec.states, states)),
+    ))
+
+
+def test_same_verdicts_on_overridden_and_widened_codecs():
+    rng = random.Random(7117)
+    counts = {"identical": 0, "undecodable": 0, "off-window": 0}
+    cases = 0
+    while cases < 300:
+        make = random_total_machine if cases % 2 else random_partial_machine
+        spec = make(rng)
+        if validate(spec):
+            continue
+        codec = _overridden_codec(rng, spec)
+        mode = rng.choice([CompileMode.DUAL, CompileMode.INFERRED])
+        budget = rng.choice([1, 3, 10, 50, 500])
+        trnas = compile_ruleset(spec, codec, mode)
+        if not trnas:
+            continue
+        trnas = _corrupt(rng, codec, trnas)
+        cases += 1
+        ref = reference_bisimulate(spec, codec, mode, budget, trnas)
+        new = bisimulate(spec, codec, mode, budget, trnas=trnas)
+        category = _category(new, ref)
+        assert category, (spec, codec, mode, budget, trnas, new, ref)
+        counts[category] += 1
+    assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("mode", list(CompileMode))
+@pytest.mark.parametrize("budget", [1, 3])
+def test_tracked_extent_with_the_head_on_a_grown_cell(mode, budget):
+    """bounce.spec grows the tape right, then left. At these budgets the head
+    sits on a grown cell no step has written, so it widens the extent that
+    bisimulate tracks past every written position."""
+    spec = parse_machine_spec(BOUNCE.read_text(encoding="utf-8"))
+    codec = build_codec(spec)
+    ref = tm_run(spec, budget)
+    assert ref.config.head not in ref.config.symbols
+    verdict = bisimulate(spec, codec, mode, budget)
+    assert verdict == reference_bisimulate(spec, codec, mode, budget, None)
+    assert (verdict.passed, verdict.steps) == (True, budget)
+
+
 def test_classical_probe_at_the_budget_comes_first():
     # the corrupted step parks the mechanical side in q2, which fires on the
     # 1 where the classical q1 is stuck: at a budget of 1 that is a halting
@@ -164,6 +226,22 @@ def test_whole_tape_decoded_only_at_the_ends(corpus, monkeypatch):
     verdict = bisimulate(corpus["utm55"], corpus_codec("utm55"))
     assert (verdict.passed, verdict.steps) == (True, 98)
     assert len(calls) == 2
+
+
+def test_steps_that_agree_are_not_reported(corpus, monkeypatch):
+    """Only the two whole-tape compares and the halting step, where no state
+    flanks the window, reach the ordered report; every other step passes on
+    its codons alone."""
+    calls = []
+
+    def counting_compare(spec, step, *args):
+        calls.append(step)
+        return _compare(spec, step, *args)
+
+    monkeypatch.setattr(oracle, "_compare", counting_compare)
+    verdict = bisimulate(corpus["utm55"], corpus_codec("utm55"))
+    assert (verdict.passed, verdict.steps) == (True, 98)
+    assert calls == [0, 98, 98]
 
 
 def _walker(tape="00"):
@@ -203,6 +281,36 @@ class TestVerdictChanges:
         verdict = bisimulate(spec, codec, trnas=bad)
         assert verdict.divergence == Divergence(1, "symbols", "0:00", "0:1")
 
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_raw_cell_codon_that_spells_the_classical_symbol(self, budget):
+        # the codec is {"0": "01", "11": "10"}; the corrupt write leaves the raw
+        # codon 11 where the classical side wrote the symbol named 11
+        spec = parse_machine_spec(
+            "symbols: 0 11\nstates: q1\nrule: q1 0 11 R q1\n"
+            "default: 0\ninitial: q1\ntape: 00\nhead: 0\n"
+        )
+        codec = build_codec(spec)
+        (trna,) = compile_ruleset(spec, codec)
+        bad = [dataclasses.replace(trna, write=(trna.write[0], "11", trna.write[2]))]
+        verdict = bisimulate(spec, codec, max_steps=budget, trnas=bad)
+        assert (verdict.passed, verdict.outcome) == (False, None)
+        assert verdict.divergence == Divergence(1, "symbols", "0:11", "0:11")
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_raw_slot_codon_that_spells_the_classical_state(self, budget):
+        # the states are {"q1": "01", "00": "10"}; the corrupt write leaves the
+        # raw codon 00 in the live slot where the classical state is named 00
+        spec = parse_machine_spec(
+            "symbols: 0 1\nstates: q1 00\nrule: q1 0 1 R 00\nrule: 00 0 1 R 00\n"
+            "default: 0\ninitial: q1\ntape: 00\nhead: 0\n"
+        )
+        codec = build_codec(spec)
+        first, second = compile_ruleset(spec, codec)
+        bad = [dataclasses.replace(first, write=(*first.write[:2], "00")), second]
+        verdict = bisimulate(spec, codec, max_steps=budget, trnas=bad)
+        assert (verdict.passed, verdict.outcome) == (False, None)
+        assert verdict.divergence == Divergence(1, "state", "00", "00")
+
 
 @pytest.mark.parametrize("window, written", [(0, 1), (1, 0)], ids=["moved-left", "moved-right"])
 def test_written_check_names_the_lower_position_first(window, written):
@@ -216,3 +324,28 @@ def test_written_check_names_the_lower_position_first(window, written):
     cfg = ClassicalConfig({0: "0", 1: "0"}, "q1", window)
     divergence = _written_divergence(spec, codec, 3, written, tape, cfg)
     assert divergence == Divergence(3, "symbols", "0:1", "0:0")
+
+
+def test_written_check_reads_the_cell_under_the_window():
+    """Everything a correct step leaves, but the cell moved onto is wrong."""
+    spec, codec, _ = _walker()
+    one, halt, q1 = codec.symbol_write["1"], codec.halt_state, codec.state_write["q1"]
+    tape = EncodedTape((halt, one, q1, one, halt), 1)
+    cfg = ClassicalConfig({0: "1", 1: "0"}, "q1", 1)
+    divergence = _written_divergence(spec, codec, 1, 0, tape, cfg)
+    assert divergence == Divergence(1, "symbols", "1:1", "1:0")
+
+
+@pytest.mark.parametrize("written, window, live", [(0, 2, 1), (3, 1, 3)], ids=["left", "right"])
+def test_written_check_needs_the_written_cell_next_to_the_window(written, window, live):
+    """The live slot borders the written cell but not the window."""
+    spec, codec, _ = _walker("0000")
+    zero, halt, q1 = codec.symbol_write["0"], codec.halt_state, codec.state_write["q1"]
+    slots = [halt] * 5
+    slots[live] = q1
+    fields = [zero] * 9
+    fields[0::2] = slots
+    tape = EncodedTape(tuple(fields), window)
+    cfg = ClassicalConfig(dict.fromkeys(range(4), "0"), "q1", window)
+    divergence = _written_divergence(spec, codec, 2, written, tape, cfg)
+    assert divergence == Divergence(2, "head", f"slot {live}, window {window}", str(window))
