@@ -133,12 +133,7 @@ class BisimVerdict:
 
 
 def _compare(
-    spec: MachineSpec,
-    step: int,
-    cfg: ClassicalConfig,
-    cells,
-    states: list[str],
-    head,
+    spec: MachineSpec, step: int, cfg: ClassicalConfig, cells, states: list[str], head,
     codec: Codec | None = None,
 ) -> Divergence | None:
     """The first disagreement with ``cfg``: halting, then ``cells`` ((position,
@@ -150,9 +145,8 @@ def _compare(
     halted = not states
     if halted != (cfg.state is None):
         return Divergence(step, "halting", str(halted), str(cfg.state is None))
-    symbols, default = cfg.symbols, spec.default_symbol
     for p, m in cells:
-        c = symbols.get(p, default)
+        c = cfg.symbols.get(p, spec.default_symbol)
         if m != (c if codec is None else codec.symbol_write.get(c)):
             shown = m if codec is None else codec.symbol_name(m) or m
             return Divergence(step, "symbols", f"{p}:{shown}", f"{p}:{c}")
@@ -167,10 +161,7 @@ def _compare(
 
 
 def _divergence(
-    spec: MachineSpec,
-    step: int,
-    decoded: DecodedConfig,
-    cfg: ClassicalConfig,
+    spec: MachineSpec, step: int, decoded: DecodedConfig, cfg: ClassicalConfig,
     extent: tuple[int, int] | None = None,
 ) -> Divergence | None:
     """Compare a whole decoded tape over every position either side holds.
@@ -236,15 +227,16 @@ def bisimulate(
     the classical side probes for a stuck rule, at the budget after it. The
     classical extent, the initial cells and every head position, is tracked
     as ``tm_run`` tracks it, so those compares do not scan the sparse tape.
-    Each step in between is checked by induction, on codons: the written
-    cell, the cell the window moved onto and both slots are compared with the
-    codons of the classical symbols and state, and names are looked up only
-    to report a divergence, so a raw codon that spells a name never passes. If the tape equals the classical
-    configuration and its one live slot flanks the window, every other slot
-    holds the halt codon, so the matched window holds that slot. The write
-    then replaces slot[w], cell[w] and slot[w+1], the only cells a step can
-    change besides a grown default cell, so checking them (and that the one
-    live slot left flanks the new window) keeps the invariant.
+
+    Each step in between is checked by induction. If the tape equals the
+    classical configuration and its one live slot flanks the window, every
+    other slot holds the halt codon, so the matched window holds that slot.
+    The write then replaces slot[w], cell[w] and slot[w+1], the only cells a
+    step can change besides a grown default cell, so checking them (and that
+    the one live slot left flanks the new window) keeps the invariant. The
+    check compares codons with the codons of the classical symbols and state,
+    and looks names up only to report a divergence, so a raw codon that
+    spells the expected name does not pass.
     """
     if codec is None:
         codec = build_codec(spec)
