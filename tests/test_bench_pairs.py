@@ -116,3 +116,23 @@ class TestSummarise:
 def test_result_is_the_last_line():
     out = 'report line\nsetup_s = 0.1 s\n{"correct": true, "failed": 0, "metrics": {}}\n'
     assert bench_pairs._result(out) == {"correct": True, "failed": 0, "metrics": {}}
+
+
+def test_probe_reports_every_figure():
+    report = bench_pairs.probe(walker_steps=(10, 20), bisim_cells=(8, 16),
+                               parity_symbols=50, repeats=1)
+    sides = {"right", "left"}
+    assert set(report) == {"python", "walker_run_us_per_step", "utm55_us", "parity",
+                           "bisimulate_8_steps_ms"}
+    assert set(report["walker_run_us_per_step"]) == sides
+    assert set(report["bisimulate_8_steps_ms"]) == sides
+    for side in sides:
+        assert set(report["walker_run_us_per_step"][side]) == {"10", "20"}
+        assert set(report["bisimulate_8_steps_ms"][side]) == {"8", "16"}
+    assert set(report["utm55_us"]) == {"parse", "codec", "new_sim", "run", "bisimulate"}
+    assert set(report["parity"]) == {"fsm_run_ms", "fsm_oracle_ms", "ratio"}
+    figures = [*report["utm55_us"].values(), *report["parity"].values()]
+    for side in sides:
+        figures += [*report["walker_run_us_per_step"][side].values(),
+                    *report["bisimulate_8_steps_ms"][side].values()]
+    assert all(f > 0 for f in figures)

@@ -30,6 +30,14 @@ holds:
 * ``regression``: the change's median is worse than the parent's by more than
   the metric's bound (a fraction of the parent's median);
 * ``no claim``: anything else.
+
+``--probe`` instead times this checkout's ``src/`` in-process, at fixed
+sizes, and prints one JSON object: walker ``run`` microseconds per step in
+both directions, utm55's parse, codec, ``new_sim``, ``run`` and
+``bisimulate`` in microseconds, the parity FSM's ``fsm_run`` and
+``fsm_oracle`` over the same symbols and their ratio, and an 8-step
+``bisimulate`` at the growing edge of all-0 tapes, in milliseconds. Each
+figure is a median of repeated calls.
 """
 
 from __future__ import annotations
@@ -37,15 +45,27 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import random
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 CLAIM_SHARE = 0.9
+
+# --probe sizes: walker run lengths, tape cells for the 8-step bisimulate,
+# parity input symbols, and calls per median (40 times as many for utm55 and
+# the 8-step bisimulate, which take a millisecond or less)
+WALKER_STEPS = (1_000, 4_000, 16_000)
+BISIM_CELLS = (1_000, 8_000)
+BISIM_STEPS = 8
+PARITY_SYMBOLS = 100_000
+REPEATS = 5
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -156,14 +176,86 @@ def measure(checkouts: dict[str, Path], workload: str, seed: int, spec: dict) ->
     }
 
 
+def _walker(cells: int, move: str) -> str:
+    """One-state walker over an all-0 tape, head on the edge it grows."""
+    head = cells - 1 if move == "R" else 0
+    return (f"symbols: 0 1\nstates: q1\nrule: q1 0 1 {move} q1\n"
+            f"default: 0\ninitial: q1\ntape: {'0' * cells}\nhead: {head}\n")
+
+
+def _median_s(fn, calls: int) -> float:
+    """Median wall-clock seconds of ``calls`` calls of ``fn``."""
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
+          parity_symbols=PARITY_SYMBOLS, repeats=REPEATS) -> dict:
+    """Time the layers of the importable ``codonmachine``; see the module doc."""
+    import codonmachine as cm
+
+    walker, bisim = {}, {}
+    for side, move in (("right", "R"), ("left", "L")):
+        spec = cm.parse_machine_spec(_walker(8, move))
+        codec = cm.build_codec(spec)
+        walker[side] = {str(n): 1e6 / n * _median_s(lambda: cm.run(cm.new_sim(spec, codec), n),
+                                                    repeats)
+                        for n in walker_steps}
+        bisim[side] = {}
+        for n in bisim_cells:
+            spec = cm.parse_machine_spec(_walker(n, move))
+            codec = cm.build_codec(spec)
+            bisim[side][str(n)] = 1e3 * _median_s(
+                lambda: cm.bisimulate(spec, codec, max_steps=BISIM_STEPS), 40 * repeats)
+
+    spec_text, codec_text = cm.corpus_spec_text("utm55"), cm.corpus_codec_text("utm55")
+    spec = cm.parse_machine_spec(spec_text)
+    codec = cm.build_codec(spec, cm.parse_codec_overrides(codec_text))
+    sim = cm.new_sim(spec, codec)
+    phases = {
+        "parse": lambda: cm.parse_machine_spec(spec_text),
+        "codec": lambda: cm.build_codec(spec, cm.parse_codec_overrides(codec_text)),
+        "new_sim": lambda: cm.new_sim(spec, codec),
+        "run": lambda: cm.run(sim),
+        "bisimulate": lambda: cm.bisimulate(spec, codec),
+    }
+    utm55 = {name: 1e6 * _median_s(fn, 40 * repeats) for name, fn in phases.items()}
+
+    fsm = cm.parse_fsm_spec(cm.corpus_spec_text("parity"))
+    fsm_codec = cm.build_codec(fsm)
+    symbols = random.Random(1).choices("01", k=parity_symbols)
+    run_s = _median_s(lambda: cm.fsm_run(fsm, symbols, fsm_codec), repeats)
+    oracle_s = _median_s(lambda: cm.fsm_oracle(fsm, symbols), repeats)
+    return {
+        "python": platform.python_version(),
+        "walker_run_us_per_step": walker,
+        "utm55_us": utm55,
+        "parity": {"fsm_run_ms": 1e3 * run_s, "fsm_oracle_ms": 1e3 * oracle_s,
+                   "ratio": run_s / oracle_s},
+        f"bisimulate_{BISIM_STEPS}_steps_ms": bisim,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1", help="parent commit (default HEAD~1)")
     parser.add_argument("--change", default="HEAD", help="changed commit (default HEAD)")
     parser.add_argument("--workload", nargs="+", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path, help="where the pair run writes its JSON")
+    parser.add_argument("--probe", action="store_true",
+                        help="time this checkout's src/ in-process instead of running pairs")
     args = parser.parse_args(argv)
+    if args.probe:
+        sys.path.insert(0, str(ROOT / "src"))
+        print(json.dumps(probe(), indent=1))
+        return 0
+    if args.out is None:
+        parser.error("--out is required for a pair run")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
