@@ -144,16 +144,12 @@ def cmd_run(args) -> int:
     final = new_sim(spec, codec, _mode(args), rng_seed=args.seed)
     structured = args.format == "structured"
     print(json.dumps(TRACE_FORMAT_HEADER) if structured else final.tape.render())
-    try:
-        for after, e in iter_run(final, arrival, args.max_steps):
-            if e is not None and structured:
-                print(_structured_event(e, decode_tape(final.tape, codec)))
-            elif e is not None:
-                print(_text_event(after, e))
-            final = after
-    except NondeterminismFault as e:
-        print(f"nondeterminism fault: {e}", file=sys.stderr)
-        return EXIT_NONDETERMINISM
+    for after, e in iter_run(final, arrival, args.max_steps):
+        if e is not None and structured:
+            print(_structured_event(e, decode_tape(final.tape, codec)))
+        elif e is not None:
+            print(_text_event(after, e))
+        final = after
     decoded = decode_tape(final.tape, codec)
     outcome = Outcome.HALTED if final.halted else Outcome.STEP_LIMIT
     summary = {
@@ -177,11 +173,7 @@ def cmd_verify(args) -> int:
     spec, corpus_name = _load_spec(args.spec)
     spec = _require_tm(spec)
     codec = _load_codec(spec, corpus_name, args.codec)
-    try:
-        verdict = bisimulate(spec, codec, _mode(args), args.max_steps)
-    except NondeterminismFault as e:
-        print(f"nondeterminism fault: {e}", file=sys.stderr)
-        return EXIT_NONDETERMINISM
+    verdict = bisimulate(spec, codec, _mode(args), args.max_steps)
     if args.format == "structured":
         record = {
             "passed": verdict.passed,
@@ -310,12 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SPEC
-    except CodecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CODEC
+    except NondeterminismFault as e:
+        print(f"nondeterminism fault: {e}", file=sys.stderr)
+        return EXIT_NONDETERMINISM
 
 
 def entrypoint() -> None:

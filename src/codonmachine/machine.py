@@ -313,6 +313,9 @@ def parse_spec(text: str) -> MachineSpec | FsmSpec:
 def _join_tape(tape: tuple[str, ...]) -> str:
     if all(len(s) == 1 for s in tape):
         return "".join(tape)
+    if len(tape) == 1:  # no whitespace to split on: it would read back per character
+        raise SpecValidationError([f"tape {tape!r}: one cell named by more than one "
+                                   "character has no spelling in the text format"])
     return " ".join(tape)
 
 

@@ -6,10 +6,10 @@ simulation. The mechanical tape must agree with the classical configuration
 on state, absolute head position, and the symbol content of every position
 either run has touched, and on every step both must fire a rule or both must
 halt. Whole tapes are decoded and compared only at the start and at the end
-(the halt or the budget), over the extent the classical run has reached; in
-between, each step is checked where it wrote. That check compares codons with
-the codons of the classical names, and looks a name up only to report a
-divergence.
+(the halt or the budget), over the mechanical strand, which holds every
+position the classical tape records; in between, each step is checked where
+it wrote. That check compares codons with the codons of the classical names,
+and looks a name up only to report a divergence.
 """
 
 from __future__ import annotations
@@ -161,18 +161,15 @@ def _compare(
 
 
 def _divergence(
-    spec: MachineSpec, step: int, decoded: DecodedConfig, cfg: ClassicalConfig,
-    extent: tuple[int, int] | None = None,
+    spec: MachineSpec, step: int, decoded: DecodedConfig, cfg: ClassicalConfig
 ) -> Divergence | None:
-    """Compare a whole decoded tape over every position either side holds.
-    ``extent`` is a (lo, hi) range holding every position of ``cfg.symbols``,
-    such as the one ``bisimulate`` tracks; without it the keys are scanned."""
-    mech, origin, pad = decoded.symbols, decoded.origin, (spec.default_symbol,)
-    lo, hi = extent or (min(cfg.symbols, default=origin), max(cfg.symbols, default=origin))
-    lo, hi = min(lo, origin), max(hi, origin + len(mech) - 1)
-    padded = pad * (origin - lo) + mech + pad * (hi + 1 - origin - len(mech))
-    classical = tuple(map(cfg.symbols.get, range(lo, hi + 1), repeat(spec.default_symbol)))
-    cells = () if padded == classical else zip(range(lo, hi + 1), padded)
+    """Compare a whole decoded tape with ``cfg`` over the mechanical strand,
+    which holds every position of ``cfg.symbols`` at each compare
+    ``bisimulate`` makes (see its docstring)."""
+    mech, origin = decoded.symbols, decoded.origin
+    positions = range(origin, origin + len(mech))
+    classical = tuple(map(cfg.symbols.get, positions, repeat(spec.default_symbol)))
+    cells = () if mech == classical else zip(positions, mech)
     states = [] if decoded.state is None else [decoded.state]
     return _compare(spec, step, cfg, cells, states, decoded.head_abs)
 
@@ -224,9 +221,12 @@ def bisimulate(
     corrupted compile is caught).
 
     Whole tapes are compared at the start and at the end: at a halt before
-    the classical side probes for a stuck rule, at the budget after it. The
-    classical extent, the initial cells and every head position, is tracked
-    as ``tm_run`` tracks it, so those compares do not scan the sparse tape.
+    the classical side probes for a stuck rule, at the budget after it. They
+    cover the mechanical strand alone, which holds every position of the
+    classical tape: the strand starts as the initial tape and never shrinks,
+    the classical side writes only at its head, and before each classical
+    step a passing check has pinned that head to a cell of the strand (the
+    decoded head at the start, the window after).
 
     Each step in between is checked by induction. If the tape equals the
     classical configuration and its one live slot flanks the window, every
@@ -243,16 +243,14 @@ def bisimulate(
     sim = new_sim(spec, codec, mode, trnas=trnas)
     table = _rule_table(spec)
     cfg = initial_config(spec)
-    # the classical extent, as tm_run tracks it: initial cells and every head
-    lo, hi = min(0, cfg.head), max(len(spec.tape) - 1, cfg.head)
     steps, written = 0, None  # absolute position of the cell the last step wrote
-    divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg, (lo, hi))
+    divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
     for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):
         # check the tape this step starts from, then whether both sides fire
         if divergence is None and written is not None:
             divergence = _written_divergence(spec, codec, steps, written, sim.tape, cfg)
         if divergence is None and event is None:
-            divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg, (lo, hi))
+            divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
         fired = _classical_step(table, spec.default_symbol, cfg)
         if divergence is None and fired != (event is not None):
             divergence = Divergence(steps, "halting", str(event is None), str(not fired))
@@ -260,14 +258,11 @@ def bisimulate(
             return BisimVerdict(False, steps, None, divergence)
         written, sim = sim.tape.window_abs, after
         steps += event is not None
-        lo, hi = min(lo, cfg.head), max(hi, cfg.head)
     if not sim.halted:
         # iter_run stopped at the budget after its halt check found a rule
         _classical_step(table, spec.default_symbol, cfg, probe=True)
         divergence = _written_divergence(spec, codec, steps, written, sim.tape, cfg)
-        divergence = divergence or _divergence(
-            spec, steps, decode_tape(sim.tape, codec), cfg, (lo, hi)
-        )
+        divergence = divergence or _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
         if divergence:
             return BisimVerdict(False, steps, None, divergence)
     return BisimVerdict(True, steps, Outcome.HALTED if sim.halted else Outcome.STEP_LIMIT)

@@ -21,11 +21,11 @@ for a tape of n cells:
 
 * O(1): ``write`` (a shift of -1, 0 or 1 that stays on the strand),
   ``grow`` at the edge the window sits on, ``window_triple``, ``window``,
-  ``origin``, ``cell_count`` and ``window_abs``;
-* O(distance from the window): ``triple_at``, which is O(1) for the window
-  and a neighbour a move has reached;
+  ``origin``, ``cell_count``, ``window_abs``, and ``triple_at`` for the
+  window and a neighbour a move has reached;
 * O(n) once per tape, then cached: ``fields``; ``state_slots``,
-  ``symbol_cells``, ``render``, equality and hashing read it;
+  ``symbol_cells``, ``render``, equality, hashing and ``triple_at``
+  elsewhere read it;
 * O(n) per call: ``grow`` at the other edge.
 
 Rendered form: all fields joined with underscores, e.g.
@@ -119,43 +119,23 @@ class EncodedTape:
     def window_abs(self) -> int:
         return self.origin + self.window
 
-    def _field(self, f: int) -> str:
-        """Field ``f`` of the strand, walking the stack on its side of the
-        window. An index off the strand raises IndexError."""
-        w, cells = 2 * self._window, self._cells
-        if not 0 <= f <= 2 * cells:
-            raise IndexError(f"field {f} is off the strand of {cells} cells")
-        triple, left, right, base, lb, rb = self._zipper
-        if w <= f <= w + 2:
-            return triple[f - w]
-        if f < w:
-            depth, stack = w - f, left
-            if depth > w - lb:  # past the fields on the stack
-                return base[f]
-        else:
-            depth, stack = f - w - 2, right
-            held = 2 * cells - w - 2 - (len(base) - rb)
-            if depth > held:
-                return base[rb + depth - held - 1]
-        hops, far = divmod(depth - 1, 2)  # whole cells to pass, then near or far
-        for _ in range(hops):
-            stack = stack[2]
-        return stack[far]
-
     def triple_at(self, pos: int) -> tuple[str, str, str]:
         """The cell at absolute position ``pos`` between the slots on either
         side of it: O(1) for the window and the cells next to it that a move
-        has reached, O(distance from the window) elsewhere."""
+        has reached, a slice of ``fields`` elsewhere. A position off the
+        strand raises IndexError."""
         triple, left, right, _, _, _ = self._zipper
-        offset = pos - self._origin - self._window
+        cell = pos - self._origin
+        offset = cell - self._window
         if offset == 0:
             return triple
         if offset == -1 and left is not None:
             return left[1], left[0], triple[0]
         if offset == 1 and right is not None:
             return triple[2], right[0], right[1]
-        f = 2 * (pos - self._origin)
-        return self._field(f), self._field(f + 1), self._field(f + 2)
+        if not 0 <= cell < self._cells:
+            raise IndexError(f"position {pos} is off the strand of {self._cells} cells")
+        return self.fields[2 * cell : 2 * cell + 3]
 
     def render(self) -> str:
         return "_".join(self.fields)

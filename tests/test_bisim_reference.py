@@ -16,6 +16,7 @@ import pytest
 from codonmachine import (
     CodecOverrides,
     CompileMode,
+    MachineSpec,
     Outcome,
     bisimulate,
     build_codec,
@@ -187,8 +188,8 @@ def test_same_verdicts_on_overridden_and_widened_codecs():
 @pytest.mark.parametrize("budget", [1, 3])
 def test_tracked_extent_with_the_head_on_a_grown_cell(mode, budget):
     """bounce.spec grows the tape right, then left. At these budgets the head
-    sits on a grown cell no step has written, so it widens the extent that
-    bisimulate tracks past every written position."""
+    sits on a grown cell no step has written, which a tracked classical extent
+    had to widen to; the compare over the strand holds that cell already."""
     spec = parse_machine_spec(BOUNCE.read_text(encoding="utf-8"))
     codec = build_codec(spec)
     ref = tm_run(spec, budget)
@@ -196,6 +197,38 @@ def test_tracked_extent_with_the_head_on_a_grown_cell(mode, budget):
     verdict = bisimulate(spec, codec, mode, budget)
     assert verdict == reference_bisimulate(spec, codec, mode, budget, None)
     assert (verdict.passed, verdict.steps) == (True, budget)
+
+
+def test_classical_tape_lies_on_the_strand_at_every_whole_tape_compare(corpus, monkeypatch):
+    """The whole-tape compare covers the mechanical strand alone. That is
+    sound only if every position of the classical tape lies on the strand,
+    so both bisimulate's compare and the reference's assert it on the bundled
+    machines, the seeded fuzz sweeps and the corrupted-compile sweep."""
+    calls, compare = {"bisimulate": 0, "reference": 0}, _divergence
+
+    def on_the_strand(caller):
+        def checked(spec, step, decoded, cfg):
+            strand = range(decoded.origin, decoded.origin + len(decoded.symbols))
+            assert all(p in strand for p in cfg.symbols), (step, decoded, cfg)
+            calls[caller] += 1
+            return compare(spec, step, decoded, cfg)
+
+        return checked
+
+    monkeypatch.setattr(oracle, "_divergence", on_the_strand("bisimulate"))
+    monkeypatch.setitem(globals(), "_divergence", on_the_strand("reference"))
+    for name, spec in corpus.items():
+        if isinstance(spec, MachineSpec):
+            for mode in CompileMode:
+                assert bisimulate(spec, corpus_codec(name), mode).passed, (name, mode)
+    for seed, make in ((2024, random_total_machine), (77, random_partial_machine)):
+        rng = random.Random(seed)
+        for _ in range(40):
+            spec = make(rng)
+            if not validate(spec):
+                assert bisimulate(spec, build_codec(spec), max_steps=500).passed, spec
+    test_same_verdicts_as_the_full_compare_reference()
+    assert all(calls.values()), calls
 
 
 def test_classical_probe_at_the_budget_comes_first():

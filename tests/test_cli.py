@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from codonmachine import (
     BisimVerdict,
     Divergence,
     build_codec,
+    compile_ruleset,
     corpus_codec,
     decode_tape,
     iter_run,
@@ -120,6 +122,20 @@ class TestCompile:
         assert code == 0
         assert out == (GOLDEN / "utm55_compile.txt").read_text(encoding="utf-8")
 
+    def test_inferred_warns_of_a_state_never_entered(self, capsys, tmp_path):
+        spec = tmp_path / "unentered.spec"
+        spec.write_text(
+            "symbols: 0\nstates: q1 q2\nrule: q1 0 0 H -\nrule: q2 0 0 H -\n"
+            "default: 0\ninitial: q1\ntape: 0\nhead: 0\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "compile", str(spec), "--mode", "inferred")
+        assert code == 0 and out
+        assert err == (
+            "warning: state 'q2' has rules but is never entered; compiling state-on-left\n"
+        )
+        assert run_cli(capsys, "compile", str(spec))[2] == ""
+
 
 class TestRun:
     def test_adder_text_trace(self, capsys):
@@ -142,6 +158,29 @@ class TestRun:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_nondeterminism_fault_exits_four_after_the_trace_so_far(self, capsys, monkeypatch):
+        """A twin of the last rule to fire for the first time clashes on its
+        windows, so the run stops there, with the earlier steps printed."""
+        import codonmachine.cli as cli_mod
+
+        argv = ("run", "unary_adder", "--format", "structured")
+        _, whole, _ = run_cli(capsys, *argv)
+        lines = whole.splitlines(keepends=True)
+        rules = [json.loads(line)["rule"] for line in lines[1:-1]]
+        k = max(map(rules.index, rules))  # the step index of the last rule to fire first
+        real = cli_mod.new_sim
+
+        def twinned(spec, codec, mode, rng_seed=None):
+            trnas = compile_ruleset(spec, codec, mode)
+            twin = dataclasses.replace(trnas[rules[k] - 1], rule_id=len(trnas) + 1)
+            return real(spec, codec, mode, rng_seed, trnas=[*trnas, twin])
+
+        monkeypatch.setattr(cli_mod, "new_sim", twinned)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == "".join(lines[: k + 1])
+        assert err.startswith(f"nondeterminism fault: rules [{rules[k]}, ")
 
     @pytest.mark.parametrize(
         "name, steps, symbols",
@@ -255,6 +294,19 @@ class TestFsm:
         code, out, _ = run_cli(capsys, "fsm", "parity", "1")
         assert code == 0
         assert out.splitlines()[-1] == "final: B"
+
+    def test_multichar_symbols_split_on_whitespace(self, capsys, tmp_path):
+        spec = tmp_path / "bits.spec"
+        spec.write_text(
+            "symbols: zero one\nstates: A B\nfsm-rule: A zero A\nfsm-rule: A one B\n"
+            "fsm-rule: B zero B\nfsm-rule: B one A\ninitial: A\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "fsm", str(spec), "one  zero\tone")
+        assert code == 0
+        assert out.splitlines() == [
+            "0: one -> rule 2", "1: zero -> rule 3", "2: one -> rule 4", "final: A"
+        ]
 
     def test_undeclared_symbol_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "fsm", "parity", "12")

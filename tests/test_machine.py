@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -298,6 +299,17 @@ class TestRoundTrip:
             head=1,
         )
         assert parse_machine_spec(serialize_machine_spec(spec)) == spec
+
+    def test_one_multichar_cell_tape_is_refused(self):
+        # "tape: 11" would read back as two cells named 1
+        spec = parse_machine_spec(
+            "symbols: 1 11\nstates: q1\nrule: q1 1 11 H -\n"
+            "default: 1\ninitial: q1\ntape: 1 1\nhead: 0\n"
+        )
+        spec = dataclasses.replace(spec, tape=("11",))
+        assert validate(spec) == []
+        with pytest.raises(SpecValidationError, match=r"tape \('11',\)"):
+            serialize_machine_spec(spec)
 
 
 class TestFsmParse:

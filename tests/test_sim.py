@@ -144,6 +144,14 @@ class TestStep:
         assert det == sto
         assert len(det) == 98
 
+    def test_stochastic_one_row_pool_draws_once(self):
+        # log1p(-1 / pool) has no value at a pool of 1: that pool takes one draw
+        spec = parse_machine_spec(ONE_RULE_WALKER)
+        sim = new_sim(spec, build_codec(spec), CompileMode.INFERRED, rng_seed=3)
+        assert sim.index.pool == 1
+        final, trace, _ = run(sim, 20, Arrival.STOCHASTIC)
+        assert final.trial_count == final.step_count == len(trace) == 20
+
     def test_nondeterminism_fault(self, adder, adder_codec):
         t1 = compile_rule(adder.rules[0], 1, adder_codec, BOTH)
         t2 = compile_rule(adder.rules[0], 2, adder_codec, BOTH)

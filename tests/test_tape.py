@@ -240,7 +240,8 @@ class TupleTape:
 
 def assert_same_tape(tape: EncodedTape, model: TupleTape):
     """Every read of the zipper against the model, the per-position reads
-    first, so they walk the zipper rather than a cached strand."""
+    first, so those of the window and its neighbours come from the zipper
+    before any read caches the strand."""
     cells = model.cell_count
     positions = range(model.origin, model.origin + cells)
     assert [tape.triple_at(p) for p in positions] == [
