@@ -239,9 +239,9 @@ class TupleTape:
 
 
 def assert_same_tape(tape: EncodedTape, model: TupleTape):
-    """Every read of the zipper against the model, the per-position reads
-    first, so those of the window and its neighbours come from the zipper
-    before any read caches the strand."""
+    """Every read of the tape against the model, the per-position reads
+    first: the window and a neighbour a move has reached are read from the
+    zipper, any other cell from the strand that the first such read caches."""
     cells = model.cell_count
     positions = range(model.origin, model.origin + cells)
     assert [tape.triple_at(p) for p in positions] == [
