@@ -112,15 +112,17 @@ def _check_budget(args) -> None:
         raise _CliFailure(EXIT_SPEC, f"--max-steps must be at least 1, got {args.max_steps}")
 
 
-def _structured_event(e, d) -> str:
-    """One JSON line of the structured trace; ``d`` is the tape stepped from."""
+def _structured_event(e, before, after, codec) -> str:
+    """One JSON line of the structured trace: event ``e`` with the windows of
+    the instances stepped from and to, and the decoded tape stepped from."""
+    d = decode_tape(before.tape, codec)
     record = {
         "step": e.step,
         "rule": e.rule_id,
         "side": e.side.value,
         "trials": e.trials,
-        "window_before": e.window_before,
-        "window_after": e.window_after,
+        "window_before": "_".join(before.tape.window_triple()),
+        "window_after": "_".join(after.tape.window_triple()),
         "state": d.state,
         "head": d.head_abs,
         "symbols": "".join(d.symbols),
@@ -146,7 +148,7 @@ def cmd_run(args) -> int:
     print(json.dumps(TRACE_FORMAT_HEADER) if structured else final.tape.render())
     for after, e in iter_run(final, arrival, args.max_steps):
         if e is not None and structured:
-            print(_structured_event(e, decode_tape(final.tape, codec)))
+            print(_structured_event(e, final, after, codec))
         elif e is not None:
             print(_text_event(after, e))
         final = after
@@ -208,7 +210,7 @@ def cmd_fsm(args) -> int:
         final, trace = fsm_run(spec, symbols, codec)
     except FsmError as e:
         raise _CliFailure(EXIT_SPEC, str(e))
-    for pos, rule_id in trace:
+    for pos, rule_id in enumerate(trace):
         print(f"{pos}: {symbols[pos]} -> rule {rule_id}")
     print(f"final: {final}")
     return EXIT_OK

@@ -68,9 +68,9 @@ def fsm_oracle(spec: FsmSpec, input_symbols: Sequence[str]) -> str:
 
 def fsm_run(
     spec: FsmSpec, input_symbols: Sequence[str], codec: Codec
-) -> tuple[str, list[tuple[int, int]]]:
-    """Run the compiled stream engine; returns the final state and a
-    (position, rule_id) trace entry per input symbol."""
+) -> tuple[str, list[int]]:
+    """Run the compiled stream engine; returns the final state and the rule id
+    fired on each input symbol, in input order."""
     # keyed on the write forms the match fields lock onto, so a lookup takes
     # the state and symbol codons as they are
     by_match = {
@@ -79,17 +79,17 @@ def fsm_run(
     }
     symbol_write = codec.symbol_write
     state_codon = codec.state_write[spec.initial_state]
-    trace: list[tuple[int, int]] = []
-    for i, symbol in enumerate(input_symbols):
+    trace: list[int] = []
+    for symbol in input_symbols:
         symbol_codon = symbol_write.get(symbol)
         if symbol_codon is None:
-            raise FsmError(f"input position {i}: undeclared symbol {symbol!r}")
+            raise FsmError(f"input position {len(trace)}: undeclared symbol {symbol!r}")
         fired = by_match.get((state_codon, symbol_codon))
         if fired is None:
             raise FsmCompileCorruption(
                 f"no tRNA matched state codon {state_codon} on {symbol!r}"
             )
-        trace.append((i, fired.rule_id))
+        trace.append(fired.rule_id)
         state_codon = fired.new_state
     name = codec.state_name(state_codon)
     if name is None:

@@ -112,8 +112,6 @@ class TraceEvent:
     rule_id: int
     side: Side
     trials: int
-    window_before: str
-    window_after: str
 
 
 def new_sim(
@@ -139,8 +137,8 @@ def new_sim(
 
 def match_window(trna: Trna, window: Window) -> Side | None:
     """The side whose read row equals the window's fieldwise complement."""
-    found = WindowIndex((trna,)).match(tuple(window))
-    return None if found is None else found[2]
+    key = tuple(map(read_form, window))
+    return next((side for side, row in trna.reads if row == key), None)
 
 
 _new, _set = object.__new__, object.__setattr__
@@ -213,8 +211,6 @@ def step(
     fields["rule_id"] = trna.rule_id
     fields["side"] = side
     fields["trials"] = trials
-    fields["window_before"] = "_".join(window)
-    fields["window_after"] = "_".join(state["tape"].window_triple())
     return after, event
 
 

@@ -311,6 +311,7 @@ class TestFsm:
     def test_undeclared_symbol_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "fsm", "parity", "12")
         assert code == 1
+        assert err == "error: input position 1: undeclared symbol '2'\n"
 
     def test_tm_spec_rejected(self, capsys):
         code, _, err = run_cli(capsys, "fsm", "unary_adder", "0")

@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -65,7 +68,7 @@ class TestRun:
         final, trace = fsm_run(parity, "110", parity_codec)
         assert final == "A"
         assert len(trace) == 3
-        assert [rule for _, rule in trace] == [2, 4, 1]
+        assert trace == [2, 4, 1]
 
     def test_empty_input(self, parity, parity_codec):
         final, trace = fsm_run(parity, "", parity_codec)
@@ -79,6 +82,19 @@ class TestRun:
     def test_undeclared_symbol(self, parity, parity_codec):
         with pytest.raises(FsmError, match="undeclared"):
             fsm_run(parity, "2", parity_codec)
+
+    def test_retained_trace_is_one_pointer_per_symbol(self, parity, parity_codec):
+        symbols = random.Random(16).choices("01", k=100_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = fsm_run(parity, symbols, parity_codec)[1]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == len(symbols)
+        assert retained / len(trace) < 16, retained / len(trace)
 
     def test_corpus_codec_equivalent(self, parity):
         final, _ = fsm_run(parity, "110", corpus_codec("parity"))

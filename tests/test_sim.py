@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -26,9 +28,10 @@ from codonmachine import (
     parse_machine_spec,
     run,
     step,
+    validate,
 )
 
-from conftest import ADDER_TRACE_LINES, ONE_RULE_WALKER, walker_text
+from conftest import ADDER_TRACE_LINES, ONE_RULE_WALKER, random_total_machine, walker_text
 
 BOTH = frozenset({Side.STATE_ON_LEFT, Side.STATE_ON_RIGHT})
 
@@ -99,7 +102,7 @@ class TestStep:
         assert event.rule_id == 1
         assert event.side == Side.STATE_ON_LEFT
         assert event.step == 1
-        assert event.window_before == "001_01_111"
+        assert adder_sim.tape.window_triple() == ("001", "01", "111")
         decoded = decode_tape(adder_sim.tape, adder_codec)
         assert decoded.state == "q1"
         assert decoded.head == 0
@@ -284,6 +287,21 @@ class TestConstantStep:
         assert event is not None and after.tape.cell_count == cells + 2
         assert peak < 8 * 1024, peak
 
+    def test_retained_event_is_small(self):
+        """A kept event holds only what fired: about 200 B with its step int."""
+        spec = parse_machine_spec(walker_text(1_000, "R"))
+        sim = new_sim(spec, build_codec(spec))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = run(sim, 16_000)[1]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 16_000
+        assert retained / len(trace) < 260, retained / len(trace)
+
 
 def rebuilt(obj):
     """A copy of a dataclass instance built through its constructor."""
@@ -388,6 +406,41 @@ class TestInvariants:
             assert sim_after.tape.origin + sim_after.tape.window == before_window + shift
             sim = sim_after
         assert sim.halted
+
+
+def _reached_instances(corpus):
+    """The instance at each window reached, in both modes, by the corpus
+    machines and by a seeded sweep of random machines, halting windows
+    included."""
+    machines = [(corpus[n], corpus_codec(n)) for n in ("incrementer", "unary_adder", "utm55")]
+    rng = random.Random(4141)
+    while len(machines) < 33:
+        spec = random_total_machine(rng)
+        if not validate(spec):
+            machines.append((spec, build_codec(spec)))
+    for spec, codec in machines:
+        for mode in CompileMode:
+            sim = new_sim(spec, codec, mode)
+            yield sim
+            for after, _ in iter_run(sim, max_steps=200):
+                if not after.halted:
+                    yield after
+
+
+def test_window_index_agrees_with_match_window(corpus):
+    """The index finds, for every reached window, the first row in scan order
+    that the lock-and-key definition says matches."""
+    checked = 0
+    for sim in _reached_instances(corpus):
+        window = sim.tape.window_triple()
+        scan = ((t, side) for t in sim.trnas for side, _ in t.reads)
+        first = next(
+            ((i, t, side) for i, (t, side) in enumerate(scan) if match_window(t, window) is side),
+            None,
+        )
+        assert sim.index.match(window) == first, window
+        checked += 1
+    assert checked > 1_000
 
 
 @pytest.mark.parametrize("mode", [CompileMode.DUAL, CompileMode.INFERRED])
