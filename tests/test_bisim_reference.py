@@ -28,6 +28,7 @@ from codonmachine import (
     validate,
 )
 from codonmachine import oracle
+from codonmachine import sim as sim_module
 from codonmachine.oracle import (
     BisimVerdict,
     ClassicalConfig,
@@ -39,7 +40,7 @@ from codonmachine.oracle import (
     _written_divergence,
     initial_config,
 )
-from codonmachine.sim import Arrival, iter_run, new_sim
+from codonmachine.sim import Arrival, iter_run, new_sim, run
 from codonmachine.tape import EncodedTape, TapeError, decode_tape
 
 from conftest import ONE_RULE_WALKER, random_partial_machine, random_total_machine
@@ -249,6 +250,8 @@ def test_classical_probe_at_the_budget_comes_first():
 
 
 def test_whole_tape_decoded_only_at_the_ends(corpus, monkeypatch):
+    """A passing run decodes one whole tape, the final one: the base case
+    passes on codons, and every step between on what it wrote."""
     calls = []
 
     def counting_decode(tape, codec):
@@ -258,13 +261,14 @@ def test_whole_tape_decoded_only_at_the_ends(corpus, monkeypatch):
     monkeypatch.setattr(oracle, "decode_tape", counting_decode)
     verdict = bisimulate(corpus["utm55"], corpus_codec("utm55"))
     assert (verdict.passed, verdict.steps) == (True, 98)
-    assert len(calls) == 2
+    final, _, _ = run(new_sim(corpus["utm55"], corpus_codec("utm55")))
+    assert calls == [final.tape]
 
 
 def test_steps_that_agree_are_not_reported(corpus, monkeypatch):
-    """Only the two whole-tape compares and the halting step, where no state
-    flanks the window, reach the ordered report; every other step passes on
-    its codons alone."""
+    """Only the whole-tape compare at the end and the halting step, where no
+    state flanks the window, reach the ordered report; the base case and
+    every other step pass on their codons alone."""
     calls = []
 
     def counting_compare(spec, step, *args):
@@ -274,7 +278,69 @@ def test_steps_that_agree_are_not_reported(corpus, monkeypatch):
     monkeypatch.setattr(oracle, "_compare", counting_compare)
     verdict = bisimulate(corpus["utm55"], corpus_codec("utm55"))
     assert (verdict.passed, verdict.steps) == (True, 98)
-    assert calls == [0, 98, 98]
+    assert calls == [98, 98]
+
+
+def _other(named, name):
+    """A codon of ``named`` other than ``name``'s."""
+    return next(bits for other, bits in named.items() if other != name)
+
+
+def _move_slot(fields, frm, to):
+    fields[2 * to], fields[2 * frm] = fields[2 * frm], fields[2 * to]
+
+
+# each takes the encoded fields (as a list), window, spec and codec, edits the
+# fields in place and returns the window and origin of the tampered strand
+TAMPERS = {
+    "wrong cell codon": lambda f, w, spec, codec: (
+        f.__setitem__(2 * w + 1, _other(codec.symbol_write, spec.tape[w])) or (w, 0)),
+    "unnamed cell codon": lambda f, w, spec, codec: (
+        f.__setitem__(3, "0" * codec.symbol_len) or (w, 0)),
+    "slot on the far side": lambda f, w, spec, codec: _move_slot(f, w, w + 1) or (w, 0),
+    "slot at another cell": lambda f, w, spec, codec: _move_slot(f, w, (w + 2) % 3) or (w, 0),
+    "window at another cell": lambda f, w, spec, codec: (
+        _move_slot(f, w, (w + 2) % 3) or ((w + 2) % 3, 0)),
+    "another state": lambda f, w, spec, codec: (
+        f.__setitem__(2 * w, _other(codec.state_write, spec.initial_state)) or (w, 0)),
+    "two live slots": lambda f, w, spec, codec: (
+        f.__setitem__(2 * ((w + 2) % 3), f[2 * w]) or (w, 0)),
+    "no live slot": lambda f, w, spec, codec: f.__setitem__(2 * w, codec.halt_state) or (w, 0),
+    "origin -1": lambda f, w, spec, codec: (w, -1),
+    "origin 1": lambda f, w, spec, codec: (w, 1),
+}
+
+
+def _outcome(check):
+    try:
+        return check()
+    except TapeError as e:
+        return f"TapeError: {e}"
+
+
+@pytest.mark.parametrize("name", ["unary_adder", "incrementer", "utm55"])
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_base_case_falls_back_to_the_whole_tape_compare(corpus, monkeypatch, name, tamper):
+    """A strand that is not the initial configuration's codons gets the
+    verdict, or the ``TapeError``, of the decode and whole-tape compare."""
+    spec, codec = corpus[name], corpus_codec(name)
+    clean = sim_module.encode_tape(spec, codec)
+    fields = list(clean.fields)
+    window, origin = TAMPERS[tamper](fields, clean.window, spec, codec)
+    tape = EncodedTape(tuple(fields), window, origin)
+    assert tape != clean
+    cfg = initial_config(spec)
+    expected = _outcome(lambda: _divergence(spec, 0, decode_tape(tape, codec), cfg))
+    assert _outcome(lambda: oracle._initial_divergence(spec, codec, tape, cfg)) == expected
+
+    monkeypatch.setattr(sim_module, "encode_tape", lambda spec, codec: tape)
+    for mode in CompileMode:
+        ref = reference_bisimulate(spec, codec, mode, 500, None)
+        verdict = _outcome(lambda: bisimulate(spec, codec, mode, 500))
+        if isinstance(ref, str):
+            assert (ref, verdict) == ("undecodable at step 0", expected)
+        else:
+            assert verdict == ref
 
 
 def _walker(tape="00"):
