@@ -1,4 +1,5 @@
-"""The pair driver's summary maths, on made-up runs (no benchmark is run)."""
+"""The pair driver's summary maths, on made-up runs, and its handling of a
+failed run, on a stub checkout (no benchmark is run)."""
 
 import importlib.util
 from pathlib import Path
@@ -136,3 +137,23 @@ def test_probe_reports_every_figure():
         figures += [*report["walker_run_us_per_step"][side].values(),
                     *report["bisimulate_8_steps_ms"][side].values()]
     assert all(f > 0 for f in figures)
+
+
+def test_failed_run_is_reported_not_swallowed(tmp_path, capsys):
+    """A benchmark run that exits non-zero stops the pair run with its side,
+    workload, seed, pair, exit code and the last lines of its stderr."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'trace line {i}', file=sys.stderr)\n"
+        "sys.exit(3)\n",
+        encoding="utf-8",
+    )
+    spec = {"run_seconds": 1, "end_to_end": []}
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.measure({"parent": tmp_path, "change": tmp_path}, "long_tape", 7, spec)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "long_tape seed=7 pair=1 parent: perfbench/run.py exited 3"
+    assert err[1:] == [f"trace line {i}" for i in range(10, 30)]

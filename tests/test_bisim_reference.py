@@ -286,29 +286,36 @@ def _other(named, name):
     return next(bits for other, bits in named.items() if other != name)
 
 
-def _move_slot(fields, frm, to):
-    fields[2 * to], fields[2 * frm] = fields[2 * frm], fields[2 * to]
+TAMPERS = [
+    "wrong cell codon", "unnamed cell codon", "slot on the far side",
+    "slot at another cell", "window at another cell", "another state",
+    "two live slots", "no live slot", "origin -1", "origin 1",
+]
 
 
-# each takes the encoded fields (as a list), window, spec and codec, edits the
-# fields in place and returns the window and origin of the tampered strand
-TAMPERS = {
-    "wrong cell codon": lambda f, w, spec, codec: (
-        f.__setitem__(2 * w + 1, _other(codec.symbol_write, spec.tape[w])) or (w, 0)),
-    "unnamed cell codon": lambda f, w, spec, codec: (
-        f.__setitem__(3, "0" * codec.symbol_len) or (w, 0)),
-    "slot on the far side": lambda f, w, spec, codec: _move_slot(f, w, w + 1) or (w, 0),
-    "slot at another cell": lambda f, w, spec, codec: _move_slot(f, w, (w + 2) % 3) or (w, 0),
-    "window at another cell": lambda f, w, spec, codec: (
-        _move_slot(f, w, (w + 2) % 3) or ((w + 2) % 3, 0)),
-    "another state": lambda f, w, spec, codec: (
-        f.__setitem__(2 * w, _other(codec.state_write, spec.initial_state)) or (w, 0)),
-    "two live slots": lambda f, w, spec, codec: (
-        f.__setitem__(2 * ((w + 2) % 3), f[2 * w]) or (w, 0)),
-    "no live slot": lambda f, w, spec, codec: f.__setitem__(2 * w, codec.halt_state) or (w, 0),
-    "origin -1": lambda f, w, spec, codec: (w, -1),
-    "origin 1": lambda f, w, spec, codec: (w, 1),
-}
+def _tampered(tamper, spec, codec, clean):
+    """The freshly encoded strand ``clean`` with one thing changed."""
+    fields, window, origin = list(clean.fields), clean.window, 0
+    live, halt = fields[2 * window], codec.halt_state
+    other = (window + 2) % 3  # a cell whose left slot does not flank the window
+    if tamper == "wrong cell codon":
+        fields[2 * window + 1] = _other(codec.symbol_write, spec.tape[window])
+    elif tamper == "unnamed cell codon":
+        fields[3] = "0" * codec.symbol_len
+    elif tamper == "slot on the far side":
+        fields[2 * window], fields[2 * window + 2] = halt, live
+    elif tamper in ("slot at another cell", "window at another cell"):
+        fields[2 * window], fields[2 * other] = halt, live
+        window = other if tamper == "window at another cell" else window
+    elif tamper == "another state":
+        fields[2 * window] = _other(codec.state_write, spec.initial_state)
+    elif tamper == "two live slots":
+        fields[2 * other] = live
+    elif tamper == "no live slot":
+        fields[2 * window] = halt
+    else:
+        origin = int(tamper.removeprefix("origin "))
+    return EncodedTape(tuple(fields), window, origin)
 
 
 def _outcome(check):
@@ -325,9 +332,7 @@ def test_base_case_falls_back_to_the_whole_tape_compare(corpus, monkeypatch, nam
     verdict, or the ``TapeError``, of the decode and whole-tape compare."""
     spec, codec = corpus[name], corpus_codec(name)
     clean = sim_module.encode_tape(spec, codec)
-    fields = list(clean.fields)
-    window, origin = TAMPERS[tamper](fields, clean.window, spec, codec)
-    tape = EncodedTape(tuple(fields), window, origin)
+    tape = _tampered(tamper, spec, codec, clean)
     assert tape != clean
     cfg = initial_config(spec)
     expected = _outcome(lambda: _divergence(spec, 0, decode_tape(tape, codec), cfg))

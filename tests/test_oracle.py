@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -296,3 +297,28 @@ class TestFuzz:
             for mode in (CompileMode.DUAL, CompileMode.INFERRED):
                 verdict = bisimulate(spec, codec, mode, max_steps=500)
                 assert verdict.passed, (spec, overrides, mode, verdict.divergence)
+
+    def test_utm55_on_seeded_random_tapes(self, utm, utm_codec):
+        """utm55 from 12 seeded tapes of 5-40 cells over its five symbols, each
+        with a random head: in both modes bisimulate passes with tm_run's steps
+        and outcome, and the runs fire twice the (rule, side) pairs of the
+        bundled input."""
+        def fired(spec, mode):
+            _, trace, _ = run(new_sim(spec, utm_codec, mode), 1_000)
+            return {(e.rule_id, e.side) for e in trace}
+
+        rng = random.Random(5555)
+        outcomes, seen = set(), set()
+        for _ in range(12):
+            cells = rng.randint(5, 40)
+            tape = tuple(rng.choice(utm.symbols) for _ in range(cells))
+            spec = dataclasses.replace(utm, tape=tape, head=rng.randrange(cells))
+            ref = tm_run(spec, 1_000)
+            outcomes.add(ref.outcome)
+            for mode in CompileMode:
+                verdict = bisimulate(spec, utm_codec, mode, 1_000)
+                assert (verdict.passed, verdict.steps, verdict.outcome) == (
+                    True, ref.steps, ref.outcome), (tape, spec.head, mode, verdict)
+                seen |= fired(spec, mode)
+        assert outcomes == {Outcome.HALTED, Outcome.STEP_LIMIT}
+        assert len(seen) >= 2 * len(fired(utm, CompileMode.DUAL))

@@ -12,7 +12,9 @@ environment with
 ``PYTHONDONTWRITEBYTECODE=1``, and a fresh worktree holds no ``__pycache__``,
 so both sides compile the package from source on every import: a ``.pyc``
 cache on one side only moves ``setup_s`` about 2x and ``peak_rss_mb`` by
-1-2 MB.
+1-2 MB. A run that exits non-zero stops the pair run: the tool prints the
+workload, seed, pair, side and exit code with the last lines of that run's
+stderr, removes the worktrees and exits 1.
 
 The JSON written to ``--out`` holds, per workload and seed, every run's
 metrics and, per end-to-end metric of ``BENCHMARK.json``: each side's median
@@ -57,6 +59,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 CLAIM_SHARE = 0.9
+STDERR_LINES = 20  # of a failed benchmark run, printed before the pair run stops
 
 # --probe sizes: walker run lengths, tape cells for the 8-step bisimulate,
 # parity input symbols, and calls per median (40 times as many for utm55 and
@@ -125,18 +128,18 @@ def _result(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float
+             ) -> subprocess.CompletedProcess:
     # no bytecode cache is read or written, and the package comes from the
     # checkout's own src/ only
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPYCACHEPREFIX", None)
     env.pop("PYTHONPATH", None)
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, env=env, capture_output=True, text=True, check=True,
+        cwd=checkout, env=env, capture_output=True, text=True,
     )
-    return _result(done.stdout)
 
 
 def _git(*args: str) -> str:
@@ -149,7 +152,13 @@ def measure(checkouts: dict[str, Path], workload: str, seed: int, spec: dict) ->
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(checkouts[side], workload, seed, spec["run_seconds"])
+            done = run_once(checkouts[side], workload, seed, spec["run_seconds"])
+            if done.returncode:
+                tail = "\n".join(done.stderr.splitlines()[-STDERR_LINES:])
+                print(f"{workload} seed={seed} pair={i + 1} {side}: perfbench/run.py exited "
+                      f"{done.returncode}\n{tail}", file=sys.stderr, flush=True)
+                raise SystemExit(1)
+            result = _result(done.stdout)
             runs[side].append(result)
             values = {k: round(v["value"], 6) for k, v in result["metrics"].items()}
             print(f"{workload} seed={seed} pair={i + 1} {side}: failed={result['failed']} "
