@@ -1,21 +1,25 @@
 """Classical reference interpreter and the lockstep equivalence check.
 
 The classical interpreter runs the 5-tuple table over a sparse absolute-
-position tape. The bisimulation runs it side by side with the mechanical
-simulation. The mechanical tape must agree with the classical configuration
-on state, absolute head position, and the symbol content of every position
-either run has touched, and on every step both must fire a rule or both must
-halt. The freshly encoded tape is checked in codons against the initial
-configuration; each step is checked where it wrote, also in codons; and only
-the tape at the end (the halt or the budget) is decoded and compared whole,
-over the mechanical strand, which holds every position the classical tape
-records. Names are looked up only to report a divergence.
+position tape: a cell is read from the written ``symbols``, then from the
+``base`` tuple, then as the default symbol. ``bisimulate`` starts from the
+spec's tape as ``base``, shared and never copied, and records only the
+writes; the configurations that ``initial_config``, ``tm_step`` and
+``tm_run`` return hold every cell in ``symbols``. The bisimulation runs the
+interpreter side by side with the mechanical simulation. The mechanical
+tape must agree with the classical configuration on state, absolute head
+position, and the symbol content of every position either run has touched,
+and on every step both must fire a rule or both must halt. The freshly
+encoded tape is checked in codons against the initial configuration; each
+step is checked where it wrote, also in codons; and only the tape at the end
+(the halt or the budget) is decoded and compared whole, over the mechanical
+strand, which holds every position the classical tape records. Names are
+looked up only to report a divergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .codec import Codec, build_codec
 from .machine import MachineSpec, Move, Rule
@@ -28,11 +32,22 @@ RunOutcome = Outcome  # the oracle's public name for sim.Outcome
 
 @dataclass
 class ClassicalConfig:
-    """Sparse tape (default elsewhere), state (None = halted), head position."""
+    """Sparse tape, state (None = halted), head position.
+
+    A cell is read from ``symbols`` (the cells written over ``base``, or every
+    cell when ``base`` is empty), then from ``base`` (cells 0 onwards), then
+    as the default symbol."""
 
     symbols: dict[int, str] = field(default_factory=dict)
     state: str | None = None
     head: int = 0
+    base: tuple[str, ...] = ()
+
+    def symbol_at(self, p: int, default: str) -> str:
+        symbol = self.symbols.get(p)
+        if symbol is None:
+            symbol = self.base[p] if 0 <= p < len(self.base) else default
+        return symbol
 
 
 def initial_config(spec: MachineSpec) -> ClassicalConfig:
@@ -53,18 +68,24 @@ def _classical_step(
 ) -> bool:
     """Fire the rule under the head, updating ``cfg`` in place; ``probe`` only
     looks. A missing rule is a stuck halt: the state becomes None and the
-    result is False."""
-    rule = table.get((cfg.state, cfg.symbols.get(cfg.head, default_symbol)))
+    result is False. The head cell is read as ``ClassicalConfig.symbol_at``
+    reads it, inline, because this runs on every lockstep step."""
+    head = cfg.head
+    symbol = cfg.symbols.get(head)
+    if symbol is None:
+        base = cfg.base
+        symbol = base[head] if 0 <= head < len(base) else default_symbol
+    rule = table.get((cfg.state, symbol))
     if rule is None:
         cfg.state = None
         return False
     if probe:
         return True
-    cfg.symbols[cfg.head] = rule.write_symbol
+    cfg.symbols[head] = rule.write_symbol
     if rule.move is Move.HALT:
         cfg.state = None
     else:
-        cfg.head += 1 if rule.move is Move.RIGHT else -1
+        cfg.head = head + 1 if rule.move is Move.RIGHT else head - 1
         cfg.state = rule.next_state
     return True
 
@@ -74,7 +95,7 @@ def tm_step(spec: MachineSpec, cfg: ClassicalConfig) -> ClassicalConfig:
     halt, not an error."""
     if cfg.state is None:
         raise ValueError("machine already halted")
-    nxt = ClassicalConfig(dict(cfg.symbols), cfg.state, cfg.head)
+    nxt = ClassicalConfig(dict(enumerate(cfg.base)) | cfg.symbols, cfg.state, cfg.head)
     _classical_step(_rule_table(spec), spec.default_symbol, nxt)
     return nxt
 
@@ -146,7 +167,7 @@ def _compare(
     if halted != (cfg.state is None):
         return Divergence(step, "halting", str(halted), str(cfg.state is None))
     for p, m in cells:
-        c = cfg.symbols.get(p, spec.default_symbol)
+        c = cfg.symbol_at(p, spec.default_symbol)
         if m != (c if codec is None else codec.symbol_write.get(c)):
             shown = m if codec is None else codec.symbol_name(m) or m
             return Divergence(step, "symbols", f"{p}:{shown}", f"{p}:{c}")
@@ -164,12 +185,21 @@ def _divergence(
     spec: MachineSpec, step: int, decoded: DecodedConfig, cfg: ClassicalConfig
 ) -> Divergence | None:
     """Compare a whole decoded tape with ``cfg`` over the mechanical strand,
-    which holds every position of ``cfg.symbols`` at each compare
-    ``bisimulate`` makes (see its docstring)."""
+    which holds every position of ``cfg`` at each compare ``bisimulate``
+    makes (see its docstring). The classical row is the default symbol, then
+    the part of ``base`` on the strand, then the writes on the strand."""
     mech, origin = decoded.symbols, decoded.origin
-    positions = range(origin, origin + len(mech))
-    classical = tuple(map(cfg.symbols.get, positions, repeat(spec.default_symbol)))
-    cells = () if mech == classical else zip(positions, mech)
+    end = origin + len(mech)
+    base = cfg.base
+    lo = max(origin, 0)
+    hi = max(min(end, len(base)), lo)
+    classical = [spec.default_symbol] * len(mech)
+    classical[lo - origin : hi - origin] = base[lo:hi]
+    for p, symbol in cfg.symbols.items():
+        if origin <= p < end:
+            classical[p - origin] = symbol
+    positions = range(origin, end)
+    cells = () if mech == tuple(classical) else zip(positions, mech)
     states = [] if decoded.state is None else [decoded.state]
     return _compare(spec, step, cfg, cells, states, decoded.head_abs)
 
@@ -207,7 +237,7 @@ def _written_divergence(
     slot, cell, next_slot = tape.triple_at(pos)
     seen = tape.window_triple()[1]
     halt, write = codec.halt_state, codec.symbol_write
-    symbols, default = cfg.symbols, spec.default_symbol
+    default = spec.default_symbol
     # what a step leaves while the machine runs: the live state on the slot
     # between the written cell and the window, the halt codon on the other
     live = codec.state_write.get(cfg.state)
@@ -215,8 +245,8 @@ def _written_divergence(
     if (
         (slot, next_slot) == flank
         and window == cfg.head
-        and cell == write.get(symbols.get(pos, default))
-        and seen == write.get(symbols.get(window, default))
+        and cell == write.get(cfg.symbol_at(pos, default))
+        and seen == write.get(cfg.symbol_at(window, default))
     ):
         return None
     written, moved = (pos, cell), (window, seen)
@@ -250,10 +280,10 @@ def bisimulate(
     ``Codec.symbol_name`` per cell, because perfbench counts those lookups
     and its smoke test requires them. It covers the mechanical strand alone,
     which holds every position of the classical tape: the strand starts as
-    the initial tape and never shrinks, the classical side writes only at its
-    head, and before each classical step a passing check has pinned that head
-    to a cell of the strand (the window, or the decoded head where the base
-    case decodes).
+    the initial tape, which is the classical side's ``base``, and never
+    shrinks; the classical side writes only at its head; and before each
+    classical step a passing check has pinned that head to a cell of the
+    strand (the window, or the decoded head where the base case decodes).
 
     Each step in between is checked by induction. If the tape equals the
     classical configuration and its one live slot flanks the window, every
@@ -269,7 +299,7 @@ def bisimulate(
         codec = build_codec(spec)
     sim = new_sim(spec, codec, mode, trnas=trnas)
     table = _rule_table(spec)
-    cfg = initial_config(spec)
+    cfg = ClassicalConfig({}, spec.initial_state, spec.head, base=spec.tape)
     steps, written = 0, None  # absolute position of the cell the last step wrote
     divergence = _initial_divergence(spec, codec, sim.tape, cfg)
     for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):

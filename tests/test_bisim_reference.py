@@ -41,9 +41,14 @@ from codonmachine.oracle import (
     initial_config,
 )
 from codonmachine.sim import Arrival, iter_run, new_sim, run
-from codonmachine.tape import EncodedTape, TapeError, decode_tape
+from codonmachine.tape import DecodedConfig, EncodedTape, TapeError, decode_tape
 
-from conftest import ONE_RULE_WALKER, random_partial_machine, random_total_machine
+from conftest import (
+    ONE_RULE_WALKER,
+    random_partial_machine,
+    random_total_machine,
+    walker_text,
+)
 
 BOUNCE = Path(__file__).resolve().parent / "golden" / "cli" / "bounce.spec"
 
@@ -202,15 +207,17 @@ def test_tracked_extent_with_the_head_on_a_grown_cell(mode, budget):
 
 def test_classical_tape_lies_on_the_strand_at_every_whole_tape_compare(corpus, monkeypatch):
     """The whole-tape compare covers the mechanical strand alone. That is
-    sound only if every position of the classical tape lies on the strand,
-    so both bisimulate's compare and the reference's assert it on the bundled
-    machines, the seeded fuzz sweeps and the corrupted-compile sweep."""
+    sound only if every position of the classical tape, its writes and its
+    ``base``, lies on the strand, so both bisimulate's compare and the
+    reference's assert it on the bundled machines, the seeded fuzz sweeps
+    and the corrupted-compile sweep."""
     calls, compare = {"bisimulate": 0, "reference": 0}, _divergence
 
     def on_the_strand(caller):
         def checked(spec, step, decoded, cfg):
             strand = range(decoded.origin, decoded.origin + len(decoded.symbols))
             assert all(p in strand for p in cfg.symbols), (step, decoded, cfg)
+            assert all(p in strand for p in range(len(cfg.base))), (step, decoded, cfg)
             calls[caller] += 1
             return compare(spec, step, decoded, cfg)
 
@@ -230,6 +237,98 @@ def test_classical_tape_lies_on_the_strand_at_every_whole_tape_compare(corpus, m
                 assert bisimulate(spec, build_codec(spec), max_steps=500).passed, spec
     test_same_verdicts_as_the_full_compare_reference()
     assert all(calls.values()), calls
+
+
+def full_dict_divergence(spec, step, decoded, cfg):
+    """The whole-tape compare over a full dict, as bisimulate made it before
+    it read the spec's tape as ``base``: every strand position looked up in
+    ``cfg.symbols``, the default elsewhere."""
+    positions = range(decoded.origin, decoded.origin + len(decoded.symbols))
+    classical = tuple(cfg.symbols.get(p, spec.default_symbol) for p in positions)
+    cells = () if decoded.symbols == classical else zip(positions, decoded.symbols)
+    states = [] if decoded.state is None else [decoded.state]
+    return _compare(spec, step, cfg, cells, states, decoded.head_abs)
+
+
+STRAND_TAMPERS = [
+    "none", "origin 1", "origin 2", "left of base", "shorter than base", "wrong cell in base",
+    "wrong cell off base", "write off the strand", "another state", "head moved", "halted",
+]
+
+
+def _strand_tamper(rng, tamper, spec, decoded, writes):
+    """``decoded`` and the classical ``writes`` with one thing changed."""
+    symbols, base_len = list(decoded.symbols), len(spec.tape)
+    origin, state, head = decoded.origin, decoded.state, decoded.head
+    inside = [i for i in range(len(symbols)) if 0 <= origin + i < base_len]
+    outside = [i for i in range(len(symbols)) if not 0 <= origin + i < base_len]
+    if tamper.startswith("origin "):
+        origin = int(tamper.removeprefix("origin "))
+    elif tamper == "left of base":
+        origin = -len(symbols) - rng.randrange(3)
+    elif tamper == "shorter than base":
+        symbols = symbols[: rng.randrange(max(base_len - origin, 1))]
+    elif tamper in ("wrong cell in base", "wrong cell off base"):
+        at = inside if tamper == "wrong cell in base" else outside
+        if not at:
+            return None
+        i = rng.choice(at)
+        symbols[i] = rng.choice([s for s in spec.symbols if s != symbols[i]])
+    elif tamper == "write off the strand":
+        off = rng.choice([origin - 1, origin + len(symbols)]) + rng.choice([-1, 0, 1])
+        writes = {**writes, off: rng.choice(spec.symbols)}
+    elif state is None or tamper == "another state" and len(spec.states) == 1:
+        return None
+    elif tamper == "another state":
+        state = rng.choice([s for s in spec.states if s != state])
+    elif tamper == "head moved":
+        head = (head + 1) % len(symbols)
+    else:
+        state = head = None
+    tampered = DecodedConfig(tuple(symbols), state, head, origin)
+    return tampered, writes
+
+
+def test_strand_compare_matches_the_full_dict_compare(corpus, monkeypatch):
+    """``_divergence`` on the overlay (``base`` plus the writes) reaches the
+    verdict and ``Divergence`` of the full-dict compare, on strands that
+    agree and on tampered ones. A strand that agrees matches its classical
+    row at once: no cell reaches the ordered report."""
+    reported = []
+
+    def recording_compare(spec, step, cfg, cells, *args):
+        cells = list(cells)
+        reported.append(cells)
+        return _compare(spec, step, cfg, cells, *args)
+
+    monkeypatch.setattr(oracle, "_compare", recording_compare)
+    specs = [corpus["utm55"], parse_machine_spec(BOUNCE.read_text(encoding="utf-8"))]
+    specs += [parse_machine_spec(walker_text(n, move)) for n in (1, 5) for move in "RL"]
+    rng = random.Random(1616)
+    seen = set()
+    for spec in specs:
+        codec, table = build_codec(spec), _rule_table(spec)
+        for budget in sorted(rng.sample(range(1, 120), 6)):
+            final, _, _ = run(new_sim(spec, codec), budget)
+            overlay = ClassicalConfig({}, spec.initial_state, spec.head, base=spec.tape)
+            for _ in range(final.step_count):
+                _classical_step(table, spec.default_symbol, overlay)
+            for tamper in STRAND_TAMPERS:
+                tampered = _strand_tamper(rng, tamper, spec, decode_tape(final.tape, codec),
+                                          overlay.symbols)
+                if tampered is None:
+                    continue
+                decoded, writes = tampered
+                cfg = dataclasses.replace(overlay, symbols=writes)
+                full = ClassicalConfig(dict(enumerate(spec.tape)) | writes, cfg.state, cfg.head)
+                expected = full_dict_divergence(spec, budget, decoded, full)
+                assert _divergence(spec, budget, decoded, cfg) == expected, (
+                    spec, budget, tamper, decoded, cfg)
+                if expected is None:
+                    assert reported[-1] == [], (spec, budget, tamper)
+                seen.add((tamper, expected and expected.kind))
+    assert {kind for _, kind in seen} == {None, "symbols", "state", "head", "halting"}, seen
+    assert {tamper for tamper, _ in seen} == set(STRAND_TAMPERS), seen
 
 
 def test_classical_probe_at_the_budget_comes_first():

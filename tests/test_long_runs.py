@@ -3,15 +3,20 @@
 Walkers grow the tape by one cell on every step for 16k steps, rightward and
 leftward. Seeded random sweepers bounce between the ends of a marked region
 for 10k steps, growing the tape on both sides and walking back over every
-cell they wrote. For each, ``run``'s final tape, step count and halting equal
+cell they wrote. The BB(4) champion runs to its halt. For each, ``run``'s final tape, step count and halting equal
 ``tm_run``'s, and ``bisimulate`` passes.
 """
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from codonmachine import (
+    BisimVerdict,
+    CompileMode,
     MachineSpec,
     Move,
     Outcome,
@@ -28,6 +33,9 @@ from codonmachine import (
 
 from conftest import STATE_POOL, SYMBOL_POOL, walker_text
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "long_proof.py"
+
 
 def assert_run_matches_classical(spec: MachineSpec, budget: int):
     codec = build_codec(spec)
@@ -43,7 +51,7 @@ def assert_run_matches_classical(spec: MachineSpec, budget: int):
         ref.config.symbols.get(p, default) for p in range(lo, hi + 1)
     ]
     assert decoded.state == ref.config.state
-    assert decoded.head_abs == ref.config.head
+    assert decoded.head_abs == (None if ref.config.state is None else ref.config.head)
     verdict = bisimulate(spec, codec, max_steps=budget)
     assert (verdict.passed, verdict.steps, verdict.outcome) == (True, ref.steps, ref.outcome)
     return ref
@@ -55,6 +63,31 @@ def test_walker_16k_steps(move):
     ref = assert_run_matches_classical(spec, 16_000)
     assert ref.outcome is Outcome.STEP_LIMIT
     assert ref.max_pos - ref.min_pos + 1 == 8 + 16_000
+
+
+@pytest.mark.parametrize("mode", list(CompileMode))
+def test_bb4_champion_to_its_halt(mode):
+    """Brady's BB(4) champion halts after 107 steps with 13 ones. It writes
+    on both sides of its one-cell tape, left to -10 and right to 3."""
+    spec = parse_machine_spec((GOLDEN / "bb4.spec").read_text(encoding="utf-8"))
+    ref = assert_run_matches_classical(spec, 1_000)
+    assert (ref.steps, ref.outcome, ref.min_pos, ref.max_pos) == (107, Outcome.HALTED, -10, 3)
+    assert list(ref.config.symbols.values()).count("1") == 13
+    assert min(ref.config.symbols) == -10 and max(ref.config.symbols) == 3
+    verdict = bisimulate(spec, build_codec(spec), mode)
+    assert verdict == BisimVerdict(True, 107, Outcome.HALTED)
+
+
+@pytest.mark.parametrize("budget, outcome, steps", [(None, "halted", 107), (50, "step-limit", 50)])
+def test_long_proof_tool(budget, outcome, steps):
+    """``tools/long_proof.py`` proves BB(4) to its halt or for a budget."""
+    spec = importlib.util.spec_from_file_location("long_proof", _TOOL)
+    long_proof = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(long_proof)
+    text = (GOLDEN / "bb4.spec").read_text(encoding="utf-8")
+    result = long_proof.prove(text, budget or sys.maxsize)
+    assert (result["passed"], result["outcome"], result["steps"]) == (True, outcome, steps)
+    assert result["max_rss_mb"] > 0
 
 
 def random_sweeper(rng: random.Random) -> MachineSpec:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from codonmachine import (
+    ClassicalConfig,
     CodecOverrides,
     CompileMode,
     MachineSpec,
@@ -82,6 +83,41 @@ class TestTmStep:
         cfg.state = None
         with pytest.raises(ValueError):
             tm_step(adder, cfg)
+
+
+# writes left of the tape, inside it and right of it, over a non-default tape
+BOTH_SIDES = parse_machine_spec(
+    "symbols: 0 1 2\nstates: a b c d\n"
+    "rule: a 1 0 L b\nrule: b 2 2 L b\nrule: b 0 1 R c\nrule: c 2 2 R c\n"
+    "rule: c 0 0 R d\nrule: d 2 2 R d\nrule: d 0 1 H -\n"
+    "default: 0\ninitial: a\ntape: 212\nhead: 1\n"
+)
+BOTH_SIDES_FINAL = {-1: "1", 0: "2", 1: "0", 2: "2", 3: "1"}
+
+
+class TestFullConfigs:
+    """The configurations returned to callers hold every cell in ``symbols``,
+    although ``bisimulate`` reads the spec's tape as a shared ``base``."""
+
+    def test_tm_run(self):
+        r = tm_run(BOTH_SIDES)
+        assert (r.steps, r.outcome, r.min_pos, r.max_pos) == (7, RunOutcome.HALTED, -1, 3)
+        assert r.config == ClassicalConfig(BOTH_SIDES_FINAL, None, 3)
+
+    def test_tm_step_from_the_initial_config(self):
+        cfg = initial_config(BOTH_SIDES)
+        assert cfg == ClassicalConfig({0: "2", 1: "1", 2: "2"}, "a", 1)
+        while cfg.state is not None:
+            cfg = tm_step(BOTH_SIDES, cfg)
+        assert cfg == ClassicalConfig(BOTH_SIDES_FINAL, None, 3)
+
+    def test_tm_step_from_an_overlay(self):
+        # the state after six steps, with cell 2 (rewritten with its own symbol) in base
+        cfg = ClassicalConfig({-1: "1", 0: "2", 1: "0"}, "d", 3, base=BOTH_SIDES.tape)
+        assert [cfg.symbol_at(p, "0") for p in range(-2, 5)] == list("0120200")
+        nxt = tm_step(BOTH_SIDES, cfg)
+        assert nxt == ClassicalConfig(BOTH_SIDES_FINAL, None, 3)
+        assert cfg.symbols == {-1: "1", 0: "2", 1: "0"}  # the step went to a copy
 
 
 class TestTmRun:
