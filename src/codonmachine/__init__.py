@@ -40,7 +40,6 @@ from .oracle import (
     BisimVerdict,
     ClassicalConfig,
     Divergence,
-    RunOutcome,
     TmRunResult,
     bisimulate,
     initial_config,

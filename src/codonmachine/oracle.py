@@ -27,8 +27,6 @@ from .sim import DEFAULT_MAX_STEPS, Arrival, Outcome, iter_run, new_sim
 from .tape import DecodedConfig, EncodedTape, decode_tape
 from .trna import CompileMode, Trna
 
-RunOutcome = Outcome  # the oracle's public name for sim.Outcome
-
 
 @dataclass
 class ClassicalConfig:

@@ -14,19 +14,19 @@ of the window, nearest first, and the tuple the tape was built from, for the
 fields no move has reached yet. Tapes never change, and each one shares all
 but a few fields with the tape it was made from.
 
-The window is always on the strand, 0 <= window < cell_count: the
-constructor rejects any other window, and ``write`` refuses a shift that
-would leave the strand, so a move past an edge grows that edge first. Costs,
-for a tape of n cells:
+The window is always on the strand, 0 <= window < cell_count, and the tape
+is edited only there: ``write`` rewrites the window and moves it one cell,
+and ``grow`` extends the edge the window sits on. The constructor rejects a
+window off the strand, ``write`` any other shift or one that would leave the
+strand, and ``grow`` the edge the window is not on, so a move past an edge
+grows that edge first. Costs, for a tape of n cells:
 
-* O(1): ``write`` (a shift of -1, 0 or 1 that stays on the strand),
-  ``grow`` at the edge the window sits on, ``window_triple``, ``window``,
-  ``origin``, ``cell_count``, ``window_abs``, and ``triple_at`` for the
-  window and a neighbour a move has reached;
+* O(1): ``write``, ``grow``, ``window_triple``, ``window``, ``origin``,
+  ``cell_count``, ``window_abs``, and ``triple_at`` for the window and a
+  neighbour a move has reached;
 * O(n) once per tape, then cached: ``fields``; ``state_slots``,
   ``symbol_cells``, ``render``, equality, hashing and ``triple_at``
-  elsewhere read it;
-* O(n) per call: ``grow`` at the other edge.
+  elsewhere read it.
 
 Rendered form: all fields joined with underscores, e.g.
 ``001_01_111_10_111``.
@@ -145,11 +145,12 @@ class EncodedTape:
 
     def write(self, row: tuple[str, str, str], shift: int) -> EncodedTape:
         """Replace the window's three fields with ``row``, then move the window
-        ``shift`` cells. A move past either end needs ``grow`` there first."""
+        one cell: left for a shift of -1, right for 1; any other shift raises
+        TapeError. A move past either end needs ``grow`` there first."""
         slot, cell, next_slot = row
         w, cells = self._window, self._cells
-        if shift not in (-1, 0, 1):
-            raise TapeError(f"shift must be -1, 0 or 1, got {shift!r}")
+        if shift not in (-1, 1):
+            raise TapeError(f"shift must be -1 or 1, got {shift!r}")
         if not 0 <= w + shift < cells:
             raise TapeError(f"window {w + shift} would be off the strand of {cells} cells: "
                             "grow first")
@@ -161,15 +162,13 @@ class EncodedTape:
             else:
                 near, far, right = right
                 triple = (next_slot, near, far)
-        elif shift == -1:
+        else:
             right = (cell, next_slot, right)
             if left is None:
                 triple, lb = (base[lb - 2], base[lb - 1], slot), lb - 2
             else:
                 near, far, left = left
                 triple = (far, near, slot)
-        else:
-            triple = (slot, cell, next_slot)
         return _zipped(w + shift, self._origin, cells, (triple, left, right, base, lb, rb))
 
 
@@ -220,21 +219,21 @@ def encode_tape(spec: MachineSpec, codec: Codec) -> EncodedTape:
 
 
 def grow(tape: EncodedTape, side: Literal["left", "right"], default_codon: str) -> EncodedTape:
-    """Extend by one default-symbol cell plus one halt slot on the given side:
-    O(1) at the edge the window sits on, where that side's stack is empty and
-    the new cell becomes its only entry; O(n) at the other edge."""
+    """Extend the edge the window sits on by one default-symbol cell plus one
+    halt slot, in O(1): that side's stack is empty, and the new cell becomes
+    its only entry. Growing an edge the window is not on raises TapeError."""
     w, cells, origin = tape._window, tape._cells, tape._origin
     triple, left, right, base, lb, rb = tape._zipper
     halt = "1" * len(triple[0])
     entry = (default_codon, halt, None)  # a stack of the new cell alone, nearer field first
     if side == "right":
-        if w == cells - 1:
-            return _zipped(w, origin, cells + 1, (triple, left, entry, base, lb, rb))
-        return EncodedTape(tape.fields + (default_codon, halt), w, origin)
+        if w != cells - 1:
+            raise TapeError(f"window {w} is not on the right edge of {cells} cells")
+        return _zipped(w, origin, cells + 1, (triple, left, entry, base, lb, rb))
     if side == "left":
-        if w == 0:
-            return _zipped(1, origin - 1, cells + 1, (triple, entry, right, base, lb, rb))
-        return EncodedTape((halt, default_codon) + tape.fields, w + 1, origin - 1)
+        if w != 0:
+            raise TapeError(f"window {w} is not on the left edge of {cells} cells")
+        return _zipped(1, origin - 1, cells + 1, (triple, entry, right, base, lb, rb))
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

@@ -10,7 +10,6 @@ from codonmachine import (
     Arrival,
     CompileMode,
     Outcome,
-    RunOutcome,
     bisimulate,
     build_codec,
     builtin_corpus,
@@ -143,9 +142,9 @@ def test_06_utm_emulation():
         codec = corpus_codec("utm55")
         verdict = bisimulate(spec, codec, CompileMode.DUAL)
         assert verdict.passed, verdict.divergence
-        assert verdict.outcome is RunOutcome.HALTED
+        assert verdict.outcome is Outcome.HALTED
         classical = tm_run(spec)
-        assert classical.outcome is RunOutcome.HALTED
+        assert classical.outcome is Outcome.HALTED
         assert verdict.steps == classical.steps == UTM_HALT_STEPS
         assert 80 <= verdict.steps <= 100
         # the documented trace checkpoints appear on the way: the windows
@@ -270,7 +269,7 @@ def test_10_incrementer():
         spec = builtin_corpus()["incrementer"]
         verdict = bisimulate(spec, build_codec(spec))
         assert verdict.passed, verdict.divergence
-        assert verdict.outcome is RunOutcome.HALTED
+        assert verdict.outcome is Outcome.HALTED
         result = tm_run(spec)
         assert result.steps == INCREMENTER_STEPS
         assert result.tape_string(spec) == INCREMENTER_FINAL_TAPE

@@ -11,7 +11,6 @@ from codonmachine import (
     Move,
     Outcome,
     Rule,
-    RunOutcome,
     bisimulate,
     build_codec,
     compile_ruleset,
@@ -101,7 +100,7 @@ class TestFullConfigs:
 
     def test_tm_run(self):
         r = tm_run(BOTH_SIDES)
-        assert (r.steps, r.outcome, r.min_pos, r.max_pos) == (7, RunOutcome.HALTED, -1, 3)
+        assert (r.steps, r.outcome, r.min_pos, r.max_pos) == (7, Outcome.HALTED, -1, 3)
         assert r.config == ClassicalConfig(BOTH_SIDES_FINAL, None, 3)
 
     def test_tm_step_from_the_initial_config(self):
@@ -123,21 +122,21 @@ class TestFullConfigs:
 class TestTmRun:
     def test_adder(self, adder):
         r = tm_run(adder)
-        assert r.outcome is RunOutcome.HALTED
+        assert r.outcome is Outcome.HALTED
         assert r.steps == 6
         assert r.tape_string(adder, 0, 5) == "001110"
 
     def test_incrementer_frozen_golden(self, corpus):
         inc = corpus["incrementer"]
         r = tm_run(inc)
-        assert r.outcome is RunOutcome.HALTED
+        assert r.outcome is Outcome.HALTED
         assert r.steps == INCREMENTER_STEPS
         assert r.tape_string(inc) == INCREMENTER_FINAL_TAPE
         assert r.config.head == INCREMENTER_FINAL_HEAD
 
     def test_utm_endpoints(self, utm):
         r = tm_run(utm)
-        assert r.outcome is RunOutcome.HALTED
+        assert r.outcome is Outcome.HALTED
         assert r.steps == UTM_HALT_STEPS
         assert r.config.head == UTM_FINAL_HEAD
         assert r.tape_string(utm) == UTM_FINAL_TAPE
@@ -162,7 +161,7 @@ class TestTmRun:
 
     def test_step_limit(self, utm):
         r = tm_run(utm, max_steps=10)
-        assert r.outcome is RunOutcome.STEP_LIMIT
+        assert r.outcome is Outcome.STEP_LIMIT
         assert r.steps == 10
 
 
@@ -189,7 +188,7 @@ class TestBisimulate:
     def test_corpus_passes(self, corpus, name, mode):
         verdict = bisimulate(corpus[name], corpus_codec(name), mode)
         assert verdict.passed, verdict.divergence
-        assert verdict.outcome is RunOutcome.HALTED
+        assert verdict.outcome is Outcome.HALTED
 
     def test_adder_lockstep_count(self, adder, adder_codec):
         verdict = bisimulate(adder, adder_codec, CompileMode.INFERRED)
@@ -217,7 +216,7 @@ class TestBisimulate:
     def test_joint_step_limit_passes(self, utm, utm_codec):
         verdict = bisimulate(utm, utm_codec, max_steps=20)
         assert verdict.passed
-        assert verdict.outcome is RunOutcome.STEP_LIMIT
+        assert verdict.outcome is Outcome.STEP_LIMIT
         assert verdict.steps == 20
 
     def test_stuck_machines_halt_together(self):
@@ -232,7 +231,7 @@ class TestBisimulate:
         )
         verdict = bisimulate(spec, build_codec(spec))
         assert verdict.passed
-        assert verdict.outcome is RunOutcome.HALTED
+        assert verdict.outcome is Outcome.HALTED
         assert verdict.steps == 1  # one move, then stuck on 'b'
 
 

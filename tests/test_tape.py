@@ -119,12 +119,33 @@ class TestGrow:
     def test_forty_right_growths(self, adder_codec):
         tape = one_cell_tape()
         for _ in range(40):
-            tape = grow(tape, "right", "01")
+            # q1 steps right onto each new cell, as a right move carries it
+            tape = grow(tape, "right", "01").write(("111", "01", "001"), 1)
         assert len(tape.symbol_cells) == 41
         assert len(tape.state_slots) == 42
         decoded = decode_tape(tape, adder_codec)
         assert decoded.symbols == ("0",) * 41
-        assert decoded.state == "q1"
+        assert (decoded.state, decoded.head) == ("q1", 40)
+
+    def test_only_the_window_edge_grows_and_only_one_cell_moves(self):
+        # three-cell tapes, fresh and after a move: a shift of 0 or 2 and a
+        # grow of an edge the window is not on raise and leave the tape as it was
+        fields = ("001", "01", "111", "10", "111", "01", "111")
+        row = ("111", "10", "010")
+        tapes = [EncodedTape(fields, w) for w in range(3)]
+        tapes += [EncodedTape(fields, 0).write(row, 1), EncodedTape(fields, 2).write(row, -1)]
+        for tape in tapes:
+            before = EncodedTape(tape.fields, tape.window, tape.origin)
+            requests = [lambda: tape.write(row, 0), lambda: tape.write(row, 2)]
+            if tape.window != 0:
+                requests.append(lambda: grow(tape, "left", "01"))
+            if tape.window != 2:
+                requests.append(lambda: grow(tape, "right", "01"))
+            for request in requests:
+                result = None
+                with pytest.raises(TapeError):
+                    result = request()
+                assert result is None and tape == before
 
     def test_bad_side(self):
         with pytest.raises(ValueError, match="side"):
@@ -257,8 +278,9 @@ def assert_same_tape(tape: EncodedTape, model: TupleTape):
 
 
 class TestZipperAgainstTuples:
-    """Seeded random writes, shifts and grows on both sides, against TupleTape.
-    The window never leaves the strand: a write past an edge grows it first."""
+    """Seeded random writes, one-cell shifts and grows on both sides, against
+    TupleTape. The window never leaves the strand: a write past an edge grows
+    it first, and only an edge the window sits on grows."""
 
     @staticmethod
     def _codon(rng, width):
@@ -273,11 +295,14 @@ class TestZipperAgainstTuples:
         tape, model = EncodedTape(tuple(fields), window), TupleTape(fields, window)
         history, grown, drift = [(tape, model)], set(), 1
         for _ in range(300):
-            if rng.random() < 0.03:
-                ops = [rng.choice(["left", "right"])]
+            # only the edges the window sits on can grow
+            edges = [side for side, edge in (("left", 0), ("right", model.cell_count - 1))
+                     if model.window == edge]
+            if edges and rng.random() < 0.1:
+                ops = [rng.choice(edges)]
             else:
                 row = (self._codon(rng, 3), self._codon(rng, 2), self._codon(rng, 3))
-                shift = rng.choice([drift, drift, drift, -drift, 0])
+                shift = rng.choice([drift, drift, drift, -drift])
                 ops = [(row, shift)]
                 if not 0 <= model.window + shift < model.cell_count:
                     # a write past an edge grows that edge first, as apply_trna
@@ -286,15 +311,14 @@ class TestZipperAgainstTuples:
                     drift = -shift
             for op in ops:
                 if op in ("left", "right"):
-                    edge = 0 if op == "left" else model.cell_count - 1
-                    grown.add(("edge" if model.window == edge else "far", op))
+                    grown.add(op)
                     default = self._codon(rng, 2)
                     tape, model = grow(tape, op, default), model.grow(op, default)
                 else:
                     tape, model = tape.write(*op), model.write(*op)
                 assert_same_tape(tape, model)
                 history.append((tape, model))
-        assert grown == {("edge", "left"), ("edge", "right"), ("far", "left"), ("far", "right")}
+        assert grown == {"left", "right"}
         # persistence: no later edit reached into an earlier version
         for old_tape, old_model in history:
             assert old_tape.render() == "_".join(old_model.fields)
