@@ -2,15 +2,25 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import settings
 
 from codonmachine import (
     MachineSpec,
     Move,
+    Outcome,
     Rule,
     builtin_corpus,
     compile_ruleset,
     corpus_codec,
+    decode_tape,
+    new_sim,
+    run,
+    tm_run,
 )
+
+# every run draws the same examples: no per-run seed, no saved failures
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 STATE_POOL = ["qa", "qb", "qc", "qd", "qe", "qf", "qg", "qh", "qi", "qj"]
 SYMBOL_POOL = ["x", "y", "z", "w", "v", "u"]
@@ -141,3 +151,28 @@ def corrupt_first_write(spec, codec):
     slot, _, other = trnas[0].write
     bad = (slot, codec.symbol_write[spec.default_symbol], other)
     return [dataclasses.replace(trnas[0], write=bad), *trnas[1:]]
+
+
+def assert_run_matches_tm_run(spec: MachineSpec, codec, budget: int):
+    """``run``'s final tape, state, head, step count and halting against
+    ``tm_run``'s, over every cell either side touched; returns both finals."""
+    final, _, outcome = run(new_sim(spec, codec), budget)
+    ref = tm_run(spec, budget)
+    assert (final.step_count, outcome) == (ref.steps, ref.outcome)
+    decoded = decode_tape(final.tape, codec)
+    lo = min(decoded.origin, ref.min_pos)
+    hi = max(decoded.origin + len(decoded.symbols) - 1, ref.max_pos)
+    mech = dict(enumerate(decoded.symbols, start=decoded.origin))
+    default = spec.default_symbol
+    assert [mech.get(p, default) for p in range(lo, hi + 1)] == [
+        ref.config.symbols.get(p, default) for p in range(lo, hi + 1)
+    ]
+    if ref.outcome is Outcome.HALTED and decoded.state is not None:
+        # a stuck halt leaves its state on the tape, where tm_run reports None
+        assert decoded.head_abs == ref.config.head
+        stuck_on = (decoded.state, mech[decoded.head_abs])
+        assert all((r.state, r.read_symbol) != stuck_on for r in spec.rules)
+    else:
+        assert decoded.state == ref.config.state
+        assert decoded.head_abs == (None if ref.config.state is None else ref.config.head)
+    return final, ref

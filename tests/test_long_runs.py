@@ -3,8 +3,9 @@
 Walkers grow the tape by one cell on every step for 16k steps, rightward and
 leftward. Seeded random sweepers bounce between the ends of a marked region
 for 10k steps, growing the tape on both sides and walking back over every
-cell they wrote. The BB(4) champion runs to its halt. For each, ``run``'s final tape, step count and halting equal
-``tm_run``'s, and ``bisimulate`` passes.
+cell they wrote. The BB(4) champion runs to its halt. For each, ``run``'s
+final tape, step count and halting equal ``tm_run``'s, and ``bisimulate``
+passes. The BB(5) champion is bisimulated for its first 20k steps.
 """
 
 import importlib.util
@@ -23,15 +24,12 @@ from codonmachine import (
     Rule,
     bisimulate,
     build_codec,
-    decode_tape,
-    new_sim,
     parse_machine_spec,
-    run,
     tm_run,
     validate,
 )
 
-from conftest import STATE_POOL, SYMBOL_POOL, walker_text
+from conftest import STATE_POOL, SYMBOL_POOL, assert_run_matches_tm_run, walker_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "long_proof.py"
@@ -39,19 +37,7 @@ _TOOL = Path(__file__).resolve().parent.parent / "tools" / "long_proof.py"
 
 def assert_run_matches_classical(spec: MachineSpec, budget: int):
     codec = build_codec(spec)
-    final, _, outcome = run(new_sim(spec, codec), budget)
-    ref = tm_run(spec, budget)
-    assert (final.step_count, outcome) == (ref.steps, ref.outcome)
-    decoded = decode_tape(final.tape, codec)
-    lo = min(decoded.origin, ref.min_pos)
-    hi = max(decoded.origin + len(decoded.symbols) - 1, ref.max_pos)
-    mech = dict(enumerate(decoded.symbols, start=decoded.origin))
-    default = spec.default_symbol
-    assert [mech.get(p, default) for p in range(lo, hi + 1)] == [
-        ref.config.symbols.get(p, default) for p in range(lo, hi + 1)
-    ]
-    assert decoded.state == ref.config.state
-    assert decoded.head_abs == (None if ref.config.state is None else ref.config.head)
+    _, ref = assert_run_matches_tm_run(spec, codec, budget)
     verdict = bisimulate(spec, codec, max_steps=budget)
     assert (verdict.passed, verdict.steps, verdict.outcome) == (True, ref.steps, ref.outcome)
     return ref
@@ -76,6 +62,19 @@ def test_bb4_champion_to_its_halt(mode):
     assert min(ref.config.symbols) == -10 and max(ref.config.symbols) == 3
     verdict = bisimulate(spec, build_codec(spec), mode)
     assert verdict == BisimVerdict(True, 107, Outcome.HALTED)
+
+
+@pytest.mark.parametrize("mode", list(CompileMode))
+def test_bb5_champion_for_20k_steps(mode):
+    """The first 20k of the 47,176,870 steps of Marxen and Buntrock's BB(5)
+    champion write 223 ones, from -257 to 21, and pass in lockstep."""
+    spec = parse_machine_spec((GOLDEN / "bb5.spec").read_text(encoding="utf-8"))
+    ref = tm_run(spec, 20_000)
+    assert (ref.steps, ref.outcome, ref.min_pos, ref.max_pos) == (
+        20_000, Outcome.STEP_LIMIT, -257, 21)
+    assert list(ref.config.symbols.values()).count("1") == 223
+    verdict = bisimulate(spec, build_codec(spec), mode, max_steps=20_000)
+    assert verdict == BisimVerdict(True, 20_000, Outcome.STEP_LIMIT)
 
 
 @pytest.mark.parametrize("budget, outcome, steps", [(None, "halted", 107), (50, "step-limit", 50)])
