@@ -89,16 +89,13 @@ def _require_tm(spec) -> MachineSpec:
     return spec
 
 
-def _mode(args) -> CompileMode:
-    return CompileMode(args.mode)
-
-
 def cmd_compile(args) -> int:
     spec, corpus_name = _load_spec(args.spec)
     spec = _require_tm(spec)
     codec = _load_codec(spec, corpus_name, args.codec)
-    sim = new_sim(spec, codec, _mode(args))
-    if _mode(args) is CompileMode.INFERRED:
+    mode = CompileMode(args.mode)
+    sim = new_sim(spec, codec, mode)
+    if mode is CompileMode.INFERRED:
         for w in infer_sides(spec)[1]:
             print(f"warning: {w}", file=sys.stderr)
     print(sim.tape.render())
@@ -143,7 +140,7 @@ def cmd_run(args) -> int:
     spec = _require_tm(spec)
     codec = _load_codec(spec, corpus_name, args.codec)
     arrival = Arrival(args.arrival)
-    final = new_sim(spec, codec, _mode(args), rng_seed=args.seed)
+    final = new_sim(spec, codec, CompileMode(args.mode), rng_seed=args.seed)
     structured = args.format == "structured"
     print(json.dumps(TRACE_FORMAT_HEADER) if structured else final.tape.render())
     for after, e in iter_run(final, arrival, args.max_steps):
@@ -175,7 +172,7 @@ def cmd_verify(args) -> int:
     spec, corpus_name = _load_spec(args.spec)
     spec = _require_tm(spec)
     codec = _load_codec(spec, corpus_name, args.codec)
-    verdict = bisimulate(spec, codec, _mode(args), args.max_steps)
+    verdict = bisimulate(spec, codec, CompileMode(args.mode), args.max_steps)
     if args.format == "structured":
         record = {
             "passed": verdict.passed,

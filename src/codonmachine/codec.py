@@ -176,7 +176,8 @@ def build_codec(
     The default maps the i-th declared name to the i-th balanced codon in
     ascending numeric order; overrides replace individual assignments and may
     widen the lengths. The halt codon (all ones at the state length) is
-    implicit and reserved.
+    implicit and reserved. Overrides are checked symbols first, then states,
+    each in the order given.
     """
     ov = overrides or CodecOverrides()
     symbol_len, state_len = min_lengths(len(spec.symbols), len(spec.states))
@@ -199,24 +200,17 @@ def build_codec(
             f"of length {state_len}"
         )
 
-    # zip stops at the last name, so only that many codons are generated
+    # zip draws as many codons as there are names, each valid by construction
     symbol_write = dict(zip(spec.symbols, _balanced(symbol_len)))
     state_write = dict(zip(spec.states, _balanced(state_len)))
-    for name, bits in (ov.symbols or {}).items():
-        if name not in symbol_write:
-            raise CodecError(f"override for undeclared symbol {name!r}")
-        symbol_write[name] = bits
-    for name, bits in (ov.states or {}).items():
-        if name not in state_write:
-            raise CodecError(f"override for undeclared state {name!r}")
-        state_write[name] = bits
-
     halt = "1" * state_len
-    for kind, length, assigned in (
-        ("symbol", symbol_len, symbol_write),
-        ("state", state_len, state_write),
+    for kind, length, assigned, given in (
+        ("symbol", symbol_len, symbol_write, ov.symbols),
+        ("state", state_len, state_write, ov.states),
     ):
-        for name, bits in assigned.items():
+        for name, bits in (given or {}).items():
+            if name not in assigned:
+                raise CodecError(f"override for undeclared {kind} {name!r}")
             if len(bits) != length:
                 raise CodecError(
                     f"{kind} {name!r}: codon {bits} has length {len(bits)}, expected {length}"
@@ -227,6 +221,7 @@ def build_codec(
                 raise CodecError(f"{kind} {name!r}: codon {bits!r} is not a bit string")
             if not _is_balanced(bits):
                 raise CodecError(f"{kind} {name!r}: codon {bits} is not balanced")
+            assigned[name] = bits
         if len(set(assigned.values())) != len(assigned):
             raise CodecError(f"duplicate {kind} codon assignment")
 

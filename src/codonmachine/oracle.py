@@ -117,7 +117,8 @@ class TmRunResult:
 def tm_run(spec: MachineSpec, max_steps: int = DEFAULT_MAX_STEPS) -> TmRunResult:
     """Step the classical table until halt or the budget, tracking the touched
     extent (initial cells + visits). As in ``sim.iter_run``, a machine stuck
-    exactly at the budget reports the halt."""
+    exactly at the budget reports the halt. A stuck halt, like a halt rule,
+    leaves ``config.state`` None; ``run``'s final tape keeps the stuck state."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     table = _rule_table(spec)

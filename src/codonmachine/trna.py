@@ -129,15 +129,11 @@ def infer_sides(spec: MachineSpec) -> tuple[dict[str, frozenset[Side]], list[str
 def compile_ruleset(
     spec: MachineSpec, codec: Codec, mode: CompileMode = CompileMode.DUAL
 ) -> list[Trna]:
-    """Compile every rule; dual mode emits both read rows per rule."""
-    if mode is CompileMode.DUAL:
-        both = frozenset({Side.STATE_ON_LEFT, Side.STATE_ON_RIGHT})
-        return [
-            compile_rule(r, i + 1, codec, both) for i, r in enumerate(spec.rules)
-        ]
-    sides, _ = infer_sides(spec)
+    """Compile every rule; dual mode gives every state both sides."""
+    sides = infer_sides(spec)[0] if mode is CompileMode.INFERRED else {}
+    both = frozenset(Side)
     return [
-        compile_rule(r, i + 1, codec, sides[r.state])
+        compile_rule(r, i + 1, codec, sides.get(r.state, both))
         for i, r in enumerate(spec.rules)
     ]
 

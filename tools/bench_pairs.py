@@ -185,13 +185,6 @@ def measure(checkouts: dict[str, Path], workload: str, seed: int, spec: dict) ->
     }
 
 
-def _walker(cells: int, move: str) -> str:
-    """One-state walker over an all-0 tape, head on the edge it grows."""
-    head = cells - 1 if move == "R" else 0
-    return (f"symbols: 0 1\nstates: q1\nrule: q1 0 1 {move} q1\n"
-            f"default: 0\ninitial: q1\ntape: {'0' * cells}\nhead: {head}\n")
-
-
 def _median_s(fn, calls: int) -> float:
     """Median wall-clock seconds of ``calls`` calls of ``fn``."""
     times = []
@@ -207,16 +200,19 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
     """Time the layers of the importable ``codonmachine``; see the module doc."""
     import codonmachine as cm
 
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import walker_text
+
     walker, bisim = {}, {}
     for side, move in (("right", "R"), ("left", "L")):
-        spec = cm.parse_machine_spec(_walker(8, move))
+        spec = cm.parse_machine_spec(walker_text(8, move))
         codec = cm.build_codec(spec)
         walker[side] = {str(n): 1e6 / n * _median_s(lambda: cm.run(cm.new_sim(spec, codec), n),
                                                     repeats)
                         for n in walker_steps}
         bisim[side] = {}
         for n in bisim_cells:
-            spec = cm.parse_machine_spec(_walker(n, move))
+            spec = cm.parse_machine_spec(walker_text(n, move))
             codec = cm.build_codec(spec)
             bisim[side][str(n)] = 1e3 * _median_s(
                 lambda: cm.bisimulate(spec, codec, max_steps=BISIM_STEPS), 40 * repeats)
