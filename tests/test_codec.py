@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from codonmachine import (
+    Codec,
     CodecError,
     CodecOverrides,
     FsmSpec,
@@ -17,6 +19,8 @@ from codonmachine import (
     trna_width,
 )
 from codonmachine.corpus import UTM55_CODEC_TEXT
+
+from conftest import random_total_machine
 
 
 def brute_balanced(n):
@@ -192,6 +196,136 @@ class TestBuildCodec:
     def test_undeclared_override_rejected(self, adder):
         with pytest.raises(CodecError, match="undeclared"):
             build_codec(adder, CodecOverrides(symbols={"9": "01"}))
+
+
+def reference_build_codec(spec, overrides=None):
+    """Test-local reference: apply every override, then check every
+    assignment, the default codons included."""
+    ov = overrides or CodecOverrides()
+    symbol_len, state_len = min_lengths(len(spec.symbols), len(spec.states))
+    symbol_len = symbol_len if ov.symbol_len is None else ov.symbol_len
+    state_len = state_len if ov.state_len is None else ov.state_len
+    if symbol_len < 2 or symbol_len % 2:
+        raise CodecError(f"symbol codon length must be positive and even, got {symbol_len}")
+    if state_len < 1:
+        raise CodecError(f"state codon length must be positive, got {state_len}")
+    for kind, length, names in (("symbol", symbol_len, spec.symbols),
+                                ("state", state_len, spec.states)):
+        if capacity(length) < len(names):
+            raise CodecError(f"{len(names)} {kind}s exceed capacity {capacity(length)} "
+                             f"of length {length}")
+    symbol_write = dict(zip(spec.symbols, enumerate_balanced(symbol_len)))
+    state_write = dict(zip(spec.states, enumerate_balanced(state_len)))
+    for kind, assigned, given in (("symbol", symbol_write, ov.symbols),
+                                  ("state", state_write, ov.states)):
+        for name, bits in (given or {}).items():
+            if name not in assigned:
+                raise CodecError(f"override for undeclared {kind} {name!r}")
+            assigned[name] = bits
+    halt = "1" * state_len
+    for kind, length, assigned in (("symbol", symbol_len, symbol_write),
+                                   ("state", state_len, state_write)):
+        for name, bits in assigned.items():
+            if len(bits) != length:
+                raise CodecError(
+                    f"{kind} {name!r}: codon {bits} has length {len(bits)}, expected {length}"
+                )
+            if kind == "state" and bits == halt:
+                raise CodecError(f"state {name!r} assigned the reserved halt codon {halt}")
+            if set(bits) - {"0", "1"}:
+                raise CodecError(f"{kind} {name!r}: codon {bits!r} is not a bit string")
+            if bits.count("1") != length // 2:
+                raise CodecError(f"{kind} {name!r}: codon {bits} is not balanced")
+        if len(set(assigned.values())) != len(assigned):
+            raise CodecError(f"duplicate {kind} codon assignment")
+    return Codec(symbol_len, state_len, symbol_write, state_write)
+
+
+FAULTS = ["undeclared", "length", "halt", "character", "unbalanced", "duplicate"]
+SEEDS = range(400)
+
+
+def _result(build, spec, overrides):
+    """The codec, with its names in order, or the error message."""
+    try:
+        codec = build(spec, overrides)
+    except CodecError as e:
+        return "error", str(e)
+    return "codec", codec, list(codec.symbol_write.items()), list(codec.state_write.items())
+
+
+def _drawn_overrides(rng, spec):
+    """The least or widened lengths, and a drawn subset of names on drawn
+    balanced codons (at random, so some sets collide and are skipped)."""
+    least = min_lengths(len(spec.symbols), len(spec.states))
+    widen = rng.choice([0, 2]), rng.choice([0, 1, 2])
+    given = {}
+    for kind, names, n, w in zip(("symbol", "state"), (spec.symbols, spec.states), least, widen):
+        codons = enumerate_balanced(n + w)
+        given[kind] = {name: rng.choice(codons)
+                       for name in rng.sample(names, rng.randint(0, len(names)))}
+    return [n + w if w else None for n, w in zip(least, widen)], given
+
+
+def _overrides(lengths, given):
+    return CodecOverrides(*lengths, given["symbol"] or None, given["state"] or None)
+
+
+def _inject(rng, spec, codec, given, fault):
+    """A copy of ``given``, whose codec is ``codec``, with exactly one fault
+    of the named kind; None when the spec has no room for it."""
+    kinds = {"symbol": (spec.symbols, codec.symbol_len, codec.symbol_write),
+             "state": (spec.states, codec.state_len, codec.state_write)}
+    if fault == "duplicate":
+        kinds = {kind: v for kind, v in kinds.items() if len(v[0]) > 1}
+        if not kinds:
+            return None
+    kind = "state" if fault == "halt" else rng.choice(sorted(kinds))
+    names, length, write = kinds[kind]
+    name = rng.choice(names)
+    valid = rng.choice(enumerate_balanced(length))
+    i = rng.randrange(length)
+    if fault == "undeclared":
+        name, faulty = "undeclared", valid
+    elif fault == "halt":
+        faulty = "1" * length
+    elif fault == "length":
+        wrong = length + 1 if length == 1 else length + rng.choice([-1, 1])
+        faulty = rng.choice(enumerate_balanced(wrong))
+    elif fault == "character":
+        faulty = valid[:i] + rng.choice("2x ") + valid[i + 1:]
+    elif fault == "unbalanced":
+        faulty = valid[:i] + "10"[int(valid[i])] + valid[i + 1:]
+    else:
+        faulty = write[rng.choice([n for n in names if n != name])]
+    given = {k: dict(v) for k, v in given.items()}
+    given[kind][name] = faulty
+    return given
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+def test_build_codec_matches_the_reference(fault):
+    """Seeded machines up to 6 states and 5 symbols; override sets that are
+    valid or carry exactly one fault. A set already faulty before its fault
+    is injected is skipped."""
+    compared = 0
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        spec = random_total_machine(rng, max_states=6, max_symbols=5)
+        lengths, given = _drawn_overrides(rng, spec)
+        base = _result(reference_build_codec, spec, _overrides(lengths, given))
+        if base[0] == "error":
+            continue
+        if fault is not None:
+            given = _inject(rng, spec, base[1], given, fault)
+            if given is None:
+                continue
+        overrides = _overrides(lengths, given)
+        want = _result(reference_build_codec, spec, overrides)
+        assert want[0] == ("codec" if fault is None else "error"), (seed, want)
+        assert _result(build_codec, spec, overrides) == want, (seed, overrides)
+        compared += 1
+    assert compared >= len(SEEDS) // 3
 
 
 class TestTrnaWidth:

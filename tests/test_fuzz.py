@@ -108,3 +108,15 @@ def test_stochastic_arrival_fires_the_deterministic_rules(case, seed):
         return [e.rule_id for e in trace]
 
     assert rule_ids(Arrival.STOCHASTIC, seed) == rule_ids(Arrival.DETERMINISTIC)
+
+
+@EXAMPLES
+@given(cases())
+def test_dual_and_inferred_runs_agree(case):
+    spec, codec = case
+
+    def outcome(mode):
+        final, trace, result = run(new_sim(spec, codec, mode), BUDGET)
+        return [e.rule_id for e in trace], final.tape, final.step_count, result
+
+    assert outcome(CompileMode.DUAL) == outcome(CompileMode.INFERRED)

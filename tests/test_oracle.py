@@ -4,6 +4,7 @@ import random
 import pytest
 
 from codonmachine import (
+    BisimVerdict,
     ClassicalConfig,
     CodecOverrides,
     CompileMode,
@@ -15,6 +16,7 @@ from codonmachine import (
     build_codec,
     compile_ruleset,
     corpus_codec,
+    decode_tape,
     enumerate_balanced,
     initial_config,
     new_sim,
@@ -163,6 +165,24 @@ class TestTmRun:
         r = tm_run(utm, max_steps=10)
         assert r.outcome is Outcome.STEP_LIMIT
         assert r.steps == 10
+
+    def test_stuck_halt_leaves_no_state(self):
+        # no rule for q1 on the default 1 at head 2: tm_run reports the stuck
+        # halt as a halt rule would, with no state, while run's final tape
+        # keeps q1 in its slot; bisimulate compares before the stuck probe
+        spec = parse_machine_spec(
+            "symbols: 0 1\nstates: q1\nrule: q1 0 1 R q1\n"
+            "default: 1\ninitial: q1\ntape: 00\nhead: 0\n"
+        )
+        codec = build_codec(spec)
+        r = tm_run(spec)
+        assert (r.steps, r.outcome, r.config.state, r.config.head) == (
+            2, Outcome.HALTED, None, 2)
+        final, _, outcome = run(new_sim(spec, codec))
+        decoded = decode_tape(final.tape, codec)
+        assert (final.step_count, outcome, decoded.state, decoded.head_abs) == (
+            2, Outcome.HALTED, "q1", 2)
+        assert bisimulate(spec, codec) == BisimVerdict(True, 2, Outcome.HALTED)
 
 
 def _one_cell_machine(rule: str) -> str:
