@@ -139,7 +139,7 @@ class Codec:
     symbol_write: dict[str, str]
     state_write: dict[str, str]
 
-    @property
+    @cached_property
     def halt_state(self) -> str:
         return "1" * self.state_len
 

@@ -61,6 +61,10 @@ def _rule_table(spec: MachineSpec) -> _RuleTable:
     return {(r.state, r.read_symbol): r for r in spec.rules}
 
 
+# Enum members as globals: on Python 3.11 ``Move.HALT`` costs over 100 ns a read
+_HALT, _RIGHT = Move.HALT, Move.RIGHT
+
+
 def _classical_step(
     table: _RuleTable, default_symbol: str, cfg: ClassicalConfig, probe: bool = False
 ) -> bool:
@@ -80,10 +84,11 @@ def _classical_step(
     if probe:
         return True
     cfg.symbols[head] = rule.write_symbol
-    if rule.move is Move.HALT:
+    move = rule.move
+    if move is _HALT:
         cfg.state = None
     else:
-        cfg.head = head + 1 if rule.move is Move.RIGHT else head - 1
+        cfg.head = head + 1 if move is _RIGHT else head - 1
         cfg.state = rule.next_state
     return True
 
@@ -236,18 +241,25 @@ def _written_divergence(
     slot, cell, next_slot = tape.triple_at(pos)
     seen = tape.window_triple()[1]
     halt, write = codec.halt_state, codec.symbol_write
-    default = spec.default_symbol
     # what a step leaves while the machine runs: the live state on the slot
     # between the written cell and the window, the halt codon on the other
     live = codec.state_write.get(cfg.state)
-    flank = (halt, live) if pos == window - 1 else (live, halt) if pos == window + 1 else None
-    if (
-        (slot, next_slot) == flank
-        and window == cfg.head
-        and cell == write.get(cfg.symbol_at(pos, default))
-        and seen == write.get(cfg.symbol_at(window, default))
+    offset = pos - window
+    if window == cfg.head and (
+        offset == -1 and slot == halt and next_slot == live
+        or offset == 1 and slot == live and next_slot == halt
     ):
-        return None
+        # both classical cells, read as ClassicalConfig.symbol_at reads them,
+        # inline, because this runs on every lockstep step
+        symbols, base = cfg.symbols, cfg.base
+        at_pos = symbols.get(pos)
+        if at_pos is None:
+            at_pos = base[pos] if 0 <= pos < len(base) else spec.default_symbol
+        at_window = symbols.get(window)
+        if at_window is None:
+            at_window = base[window] if 0 <= window < len(base) else spec.default_symbol
+        if cell == write.get(at_pos) and seen == write.get(at_window):
+            return None
     written, moved = (pos, cell), (window, seen)
     cells = (written, moved) if pos <= window else (moved, written)
     states = [s for s in (slot, next_slot) if s != halt]

@@ -58,6 +58,16 @@ class NondeterminismFault(RuntimeError):
     """Two distinct tRNA matched one window; the compile is corrupt."""
 
 
+class _ReadForms(dict):
+    """Each field's read form, computed on its first lookup: a compile's rows
+    repeat a few codons, so an index complements each distinct field once and
+    each row in one C-level ``map``."""
+
+    def __missing__(self, field: str) -> str:
+        self[field] = flipped = read_form(field)
+        return flipped
+
+
 class WindowIndex:
     """The read rows of ``trnas`` by the window each one matches.
 
@@ -74,12 +84,14 @@ class WindowIndex:
         self.trnas = trnas
         self.rows: dict[Window, tuple[int, Trna, Side]] = {}
         rule_ids: dict[Window, list[int]] = {}
+        flip = _ReadForms().__getitem__
         scan = ((t, side, row) for t in trnas for side, row in t.reads)
         for i, (t, side, row) in enumerate(scan):
-            window = tuple(read_form(f) for f in row)
+            window = tuple(map(flip, row))
             self.rows.setdefault(window, (i, t, side))
             rule_ids.setdefault(window, []).append(t.rule_id)
-        self.clashes = {w: sorted(ids) for w, ids in rule_ids.items() if len(set(ids)) > 1}
+        self.clashes = {w: sorted(ids) for w, ids in rule_ids.items()
+                        if len(ids) > 1 and len(set(ids)) > 1}
         self.pool = sum(len(t.reads) for t in trnas)
 
     def match(self, window: Window) -> tuple[int, Trna, Side] | None:

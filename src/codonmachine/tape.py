@@ -117,7 +117,7 @@ class EncodedTape:
 
     @property
     def window_abs(self) -> int:
-        return self.origin + self.window
+        return self._origin + self._window
 
     def triple_at(self, pos: int) -> tuple[str, str, str]:
         """The cell at absolute position ``pos`` between the slots on either

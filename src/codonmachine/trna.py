@@ -22,6 +22,7 @@ directions ever enter it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,10 @@ from .machine import MachineSpec, Move, Rule
 class Side(Enum):
     STATE_ON_LEFT = "left"
     STATE_ON_RIGHT = "right"
+
+    # members are singletons, so identity hashes them; Enum's own __hash__
+    # is Python code, run on every ``in sides`` test and every Counter key
+    __hash__ = object.__hash__
 
 
 class CompileMode(Enum):
@@ -61,8 +66,17 @@ class Trna:
         return None
 
 
+_new, _set = object.__new__, object.__setattr__
+# Enum members as globals: on Python 3.11 ``Move.HALT`` costs over 100 ns a read
+_HALT, _LEFT = Move.HALT, Move.LEFT
+_ON_LEFT, _ON_RIGHT = Side.STATE_ON_LEFT, Side.STATE_ON_RIGHT
+
+
 def compile_rule(rule: Rule, rule_id: int, codec: Codec, sides: frozenset[Side]) -> Trna:
-    """One rule to one tRNA carrying a read row per requested side."""
+    """One rule to one tRNA carrying a read row per requested side.
+
+    The record is built without the frozen dataclass ``__init__``, its fields
+    set in one dict in field order, because a compile builds one per rule."""
     if not sides:
         raise ValueError("at least one side required")
     try:
@@ -71,31 +85,28 @@ def compile_rule(rule: Rule, rule_id: int, codec: Codec, sides: frozenset[Side])
         write_symbol = codec.symbol_write[rule.write_symbol]
     except KeyError as e:
         raise TrnaError(f"no codon for {e.args[0]!r}") from None
-    halt = codec.halt_state
+    halt, move = codec.halt_state, rule.move
     zeros = "0" * codec.state_len
-    if rule.move is Move.HALT:
+    if move is _HALT:
         write = (halt, write_symbol, halt)
     else:
-        if rule.next_state not in codec.state_write:
+        next_state = codec.state_write.get(rule.next_state)
+        if next_state is None:
             raise TrnaError(f"no codon for {rule.next_state!r}")
-        next_state = codec.state_write[rule.next_state]
-        if rule.move is Move.LEFT:
+        if move is _LEFT:
             write = (next_state, write_symbol, halt)
         else:
             write = (halt, write_symbol, next_state)
     read_state, read_symbol = read_form(state), read_form(symbol)
     reads = []
-    if Side.STATE_ON_LEFT in sides:
-        reads.append((Side.STATE_ON_LEFT, (read_state, read_symbol, zeros)))
-    if Side.STATE_ON_RIGHT in sides:
-        reads.append((Side.STATE_ON_RIGHT, (zeros, read_symbol, read_state)))
-    return Trna(
-        rule_id=rule_id,
-        rule=rule,
-        reads=tuple(reads),
-        hole=rule.move is Move.LEFT,
-        write=write,
-    )
+    if _ON_LEFT in sides:
+        reads.append((_ON_LEFT, (read_state, read_symbol, zeros)))
+    if _ON_RIGHT in sides:
+        reads.append((_ON_RIGHT, (zeros, read_symbol, read_state)))
+    trna = _new(Trna)
+    _set(trna, "__dict__", {"rule_id": rule_id, "rule": rule, "reads": tuple(reads),
+                            "hole": move is _LEFT, "write": write})
+    return trna
 
 
 def infer_sides(spec: MachineSpec) -> tuple[dict[str, frozenset[Side]], list[str]]:
@@ -104,9 +115,11 @@ def infer_sides(spec: MachineSpec) -> tuple[dict[str, frozenset[Side]], list[str
     A state entered by a right move (or the initial state) finds itself left
     of the head; one entered by a left move, right of the head. Returns the
     per-state sides and warnings for states with outgoing rules that are never
-    entered (those compile as state-on-left).
+    entered (those compile as state-on-left). A state the rules name but the
+    spec does not declare gets sides too, so that compiling its rule raises
+    the same ``TrnaError`` in both modes.
     """
-    sides: dict[str, set[Side]] = {s: set() for s in spec.states}
+    sides: dict[str, set[Side]] = defaultdict(set, {s: set() for s in spec.states})
     sides[spec.initial_state].add(Side.STATE_ON_LEFT)
     for r in spec.rules:
         if r.next_state is None:

@@ -123,14 +123,20 @@ def test_probe_reports_every_figure():
     report = bench_pairs.probe(walker_steps=(10, 20), bisim_cells=(8, 16),
                                parity_symbols=50, repeats=1)
     sides = {"right", "left"}
-    assert set(report) == {"python", "walker_run_us_per_step", "utm55_us", "parity",
+    assert set(report) == {"python", "walker_run_us_per_step", "utm55_us",
+                           "utm55_new_sim_over_run", "utm55_check_us_per_step", "parity",
                            "bisimulate_8_steps_ms"}
     assert set(report["walker_run_us_per_step"]) == sides
     assert set(report["bisimulate_8_steps_ms"]) == sides
     for side in sides:
         assert set(report["walker_run_us_per_step"][side]) == {"10", "20"}
         assert set(report["bisimulate_8_steps_ms"][side]) == {"8", "16"}
-    assert set(report["utm55_us"]) == {"parse", "codec", "new_sim", "run", "bisimulate"}
+    assert set(report["utm55_us"]) == {"parse", "codec", "compile", "index", "new_sim", "run",
+                                       "bisimulate"}
+    utm55 = report["utm55_us"]
+    assert report["utm55_new_sim_over_run"] == utm55["new_sim"] / utm55["run"]
+    # a median of differences, so a loaded host may read it below 0
+    assert isinstance(report["utm55_check_us_per_step"], float)
     assert set(report["parity"]) == {"fsm_run_ms", "fsm_oracle_ms", "ratio"}
     figures = [*report["utm55_us"].values(), *report["parity"].values()]
     for side in sides:

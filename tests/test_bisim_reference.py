@@ -9,6 +9,7 @@ misreads a live slot that has left the window.
 
 import dataclasses
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -552,3 +553,144 @@ def test_written_check_needs_the_written_cell_next_to_the_window(written, window
     cfg = ClassicalConfig(dict.fromkeys(range(4), "0"), "q1", window)
     divergence = _written_divergence(spec, codec, 2, written, tape, cfg)
     assert divergence == Divergence(2, "head", f"slot {live}, window {window}", str(window))
+
+
+def reference_written_divergence(spec, codec, step, pos, tape, cfg):
+    """Test-local reference: the per-step check as it was before its passing
+    path read the classical cells inline and built no tuples."""
+    window = tape.window_abs
+    slot, cell, next_slot = tape.triple_at(pos)
+    seen = tape.window_triple()[1]
+    halt, write = "1" * codec.state_len, codec.symbol_write
+    default = spec.default_symbol
+    live = codec.state_write.get(cfg.state)
+    flank = (halt, live) if pos == window - 1 else (live, halt) if pos == window + 1 else None
+    if (
+        (slot, next_slot) == flank
+        and window == cfg.head
+        and cell == write.get(cfg.symbol_at(pos, default))
+        and seen == write.get(cfg.symbol_at(window, default))
+    ):
+        return None
+    written, moved = (pos, cell), (window, seen)
+    cells = (written, moved) if pos <= window else (moved, written)
+    states = [s for s in (slot, next_slot) if s != halt]
+    first = pos if slot != halt else pos + 1
+    head = window
+    if states and first - window not in (0, 1):
+        head = f"slot {first}, window {window}"
+    return _compare(spec, step, cfg, cells, states, head, codec)
+
+
+def _checked(check, *args):
+    """The check's result, or the exception it raised, by type and message."""
+    try:
+        return check(*args)
+    except Exception as e:  # both sides must raise alike
+        return type(e).__name__, str(e)
+
+
+def test_written_check_matches_the_reference_on_every_step(monkeypatch):
+    """Every per-step check that ``bisimulate`` makes returns what the
+    reference returns: None or the same ``Divergence``. The runs are seeded
+    total and partial machines on least and overridden codecs, in both
+    modes, three in four of the compiles corrupted by ``_corrupt``."""
+    check, kinds = oracle._written_divergence, Counter()
+
+    def both(*args):
+        got = check(*args)
+        assert got == reference_written_divergence(*args), args
+        kinds[got and got.kind] += 1
+        return got
+
+    monkeypatch.setattr(oracle, "_written_divergence", both)
+    rng = random.Random(1919)
+    cases = 0
+    while cases < 300:
+        make = random_total_machine if cases % 2 else random_partial_machine
+        spec = make(rng)
+        if validate(spec):
+            continue
+        codec = build_codec(spec) if rng.random() < 0.5 else _overridden_codec(rng, spec)
+        for mode in CompileMode:
+            trnas = compile_ruleset(spec, codec, mode)
+            if trnas and rng.random() < 0.75:
+                trnas = _corrupt(rng, codec, trnas)
+            bisimulate(spec, codec, mode, rng.choice([3, 10, 50, 200]), trnas=trnas)
+        cases += 1
+    assert set(kinds) == {None, "symbols", "state", "head", "halting"}, kinds
+    assert kinds[None] > 5_000, kinds
+
+
+CHECK_TAMPERS = [
+    "none", "head", "state", "live slot", "swapped flanks", "far slot", "cell at pos",
+    "cell at window", "classical at pos", "classical at window", "pos off by one",
+]
+
+
+def _check_case(rng, tamper):
+    """Arguments for the per-step check: a strand with the written cell next
+    to the window, the live slot between them, and a classical configuration
+    it agrees with, read from writes, ``base`` or the default; then one
+    thing changed as ``tamper`` names."""
+    spec = random_total_machine(rng, max_states=4, max_symbols=3, min_states=2, min_symbols=2)
+    codec = build_codec(spec)
+    halt, named = codec.halt_state, codec.symbol_write
+    cells, origin = rng.randint(2, 6), rng.randint(-3, 3)
+    window = rng.randrange(cells)
+    side = rng.choice([s for s in (-1, 1) if 0 <= window + s < cells])
+    symbols = [rng.choice(spec.symbols) for _ in range(cells)]
+    base = tuple(rng.choice(spec.symbols) for _ in range(rng.randint(0, 4)))
+    writes = {}
+    for i, symbol in enumerate(symbols):
+        p = origin + i
+        under = base[p] if 0 <= p < len(base) else spec.default_symbol
+        if symbol != under or rng.random() < 0.3:
+            writes[p] = symbol
+    state = rng.choice(spec.states)
+    slots = [halt] * (cells + 1)
+    between = max(window, window + side)  # the slot between the two cells
+    slots[between] = codec.state_write[state]
+    codons = [named[s] for s in symbols]
+    far = between + side  # the written cell's other slot
+    pos, head = origin + window + side, origin + window
+    if tamper == "head":
+        head += rng.choice([-1, 1])
+    elif tamper == "state":
+        state = rng.choice([None, *(s for s in spec.states if s != state)])
+    elif tamper == "live slot":
+        slots[between] = rng.choice([halt, _other(codec.state_write, state), "0" * codec.state_len])
+    elif tamper == "swapped flanks":
+        slots[between], slots[far] = halt, slots[between]
+    elif tamper == "far slot":
+        slots[far] = rng.choice(list(codec.state_write.values()))
+    elif tamper in ("cell at pos", "cell at window"):
+        i = window + side if tamper == "cell at pos" else window
+        codons[i] = rng.choice([_other(named, symbols[i]), "1" * codec.symbol_len])
+    elif tamper in ("classical at pos", "classical at window"):
+        p = pos if tamper == "classical at pos" else head
+        writes[p] = _other({s: s for s in spec.symbols}, symbols[p - origin])
+    elif tamper == "pos off by one":
+        pos += rng.choice([-1, 1])
+    fields = [halt] * (2 * cells + 1)
+    fields[0::2], fields[1::2] = slots, codons
+    tape = EncodedTape(tuple(fields), window, origin)
+    cfg = ClassicalConfig(writes, state, head, base)
+    return spec, codec, rng.randrange(1, 100), pos, tape, cfg
+
+
+@pytest.mark.parametrize("tamper", CHECK_TAMPERS)
+def test_written_check_matches_the_reference_on_built_strands(tamper):
+    """On strands built by hand, with everything a correct step leaves or
+    one thing changed, the check returns the reference's result or raises
+    its error. An untampered strand passes and every other tamper is
+    reported, except a position beside the written cell: the slow path may
+    find that strand consistent, or raise off the strand, as the reference
+    does."""
+    rng = random.Random(2020)
+    for _ in range(300):
+        args = _check_case(rng, tamper)
+        got = _checked(_written_divergence, *args)
+        assert got == _checked(reference_written_divergence, *args), (tamper, args)
+        if tamper != "pos off by one":
+            assert (got is None) == (tamper == "none"), (tamper, args, got)

@@ -26,12 +26,14 @@ from codonmachine import (
     match_window,
     new_sim,
     parse_machine_spec,
+    read_form,
     run,
     step,
     validate,
 )
 
 from conftest import ADDER_TRACE_LINES, ONE_RULE_WALKER, random_total_machine, walker_text
+from test_bisim_reference import _corrupt
 
 BOTH = frozenset({Side.STATE_ON_LEFT, Side.STATE_ON_RIGHT})
 
@@ -455,3 +457,85 @@ def test_window_index_records_each_clashing_window(corpus, mode):
     # each clashing window keeps the first row in scan order
     assert all(index.rows[w][1] is trnas[0] for w in index.clashes)
     assert index.pool == sum(len(t.reads) for t in trnas) + len(twin.reads)
+
+
+def reference_window_index(trnas):
+    """Test-local reference: the index as it was built before it memoised
+    read forms, as (rows, clashes, pool)."""
+    rows, rule_ids = {}, {}
+    scan = ((t, side, row) for t in trnas for side, row in t.reads)
+    for i, (t, side, row) in enumerate(scan):
+        window = tuple(read_form(f) for f in row)
+        rows.setdefault(window, (i, t, side))
+        rule_ids.setdefault(window, []).append(t.rule_id)
+    clashes = {w: sorted(ids) for w, ids in rule_ids.items() if len(set(ids)) > 1}
+    return rows, clashes, sum(len(t.reads) for t in trnas)
+
+
+READ_TAMPERS = ["none", "twin", "same-id twin", "copied reads", "dropped side", "read field",
+                "non-bit field", "row length", "write"]
+
+
+def _tampered_reads(rng, tamper, codec, trnas):
+    """``trnas`` with one tRNA changed as ``tamper`` names, or added."""
+    i = rng.randrange(len(trnas))
+    t = trnas[i]
+    if tamper == "twin":  # another rule on t's rows: a clash on each of them
+        twin = dataclasses.replace(t, rule_id=rng.choice([0, len(trnas) + 1, trnas[-1].rule_id]))
+        return [*trnas[:i], twin, *trnas[i:]] if rng.random() < 0.5 else [*trnas, twin]
+    if tamper == "same-id twin":  # the same rule twice: no clash
+        return [*trnas, dataclasses.replace(t)]
+    if tamper == "copied reads":
+        other = rng.choice(trnas)
+        return [*trnas[:i], dataclasses.replace(t, reads=other.reads), *trnas[i + 1:]]
+    if tamper == "write":
+        return _corrupt(rng, codec, trnas)
+    reads = [list(row) for _, row in t.reads]
+    sides = [side for side, _ in t.reads]
+    if tamper == "dropped side":
+        if len(reads) < 2:
+            return None
+        j = rng.randrange(2)
+        reads, sides = reads[j:j + 1], sides[j:j + 1]
+    else:
+        row = rng.choice(reads)
+        j = rng.randrange(len(row))
+        if tamper == "read field":
+            n = len(row[j])
+            row[j] = rng.choice(["1" * n, "0" * n, "".join(rng.choice("01") for _ in range(n))])
+        elif tamper == "non-bit field":
+            row[j] = row[j][:-1] + rng.choice("2x_")
+        elif rng.random() < 0.5:  # "row length": a field too many or too few
+            row.append(row[0])
+        else:
+            del row[j]
+    bad = dataclasses.replace(t, reads=tuple(zip(sides, map(tuple, reads))))
+    return [*trnas[:i], bad, *trnas[i + 1:]]
+
+
+@pytest.mark.parametrize("tamper", READ_TAMPERS)
+def test_window_index_matches_the_reference(tamper):
+    """On seeded compiles in both modes, each with one tRNA tampered as named,
+    the index has the reference's rows, clashes with their sorted rule ids,
+    and pool: it is built from each tRNA's own read rows."""
+    rng = random.Random(1919)
+    compared = clashing = 0
+    while compared < 150:
+        spec = random_total_machine(rng, max_states=5, max_symbols=4)
+        codec = build_codec(spec)
+        trnas = compile_ruleset(spec, codec, rng.choice(list(CompileMode)))
+        if tamper != "none":
+            trnas = _tampered_reads(rng, tamper, codec, trnas)
+            if trnas is None:
+                continue
+        index = sim_module.WindowIndex(tuple(trnas))
+        rows, clashes, pool = reference_window_index(trnas)
+        assert (index.rows, index.clashes, index.pool) == (rows, clashes, pool), (spec, trnas)
+        # the first row in scan order, not an equal record after it
+        assert all(index.rows[w][1] is rows[w][1] for w in rows)
+        compared += 1
+        clashing += bool(clashes)
+    if tamper in ("twin", "copied reads"):
+        assert clashing
+    elif tamper in ("none", "same-id twin", "dropped side", "write"):
+        assert not clashing

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +12,8 @@ from codonmachine import (
     Move,
     Rule,
     Side,
+    Trna,
+    TrnaError,
     build_codec,
     compile_rule,
     compile_ruleset,
@@ -58,6 +64,46 @@ class TestCompileRule:
         with pytest.raises(ValueError, match="side"):
             compile_rule(adder.rules[0], 1, adder_codec, frozenset())
 
+    @pytest.mark.parametrize("sides", [LEFT, RIGHT, BOTH])
+    def test_record_equals_one_built_by_the_dataclass(self, utm, utm_codec, sides):
+        """compile_rule builds its record without ``__init__``; it is the same
+        frozen value as one built through it."""
+        for i, rule in enumerate(utm.rules, start=1):
+            t = compile_rule(rule, i, utm_codec, sides)
+            built = Trna(**{f.name: getattr(t, f.name) for f in dataclasses.fields(Trna)})
+            assert (t, hash(t), repr(t)) == (built, hash(built), repr(built))
+            assert pickle.loads(pickle.dumps(t)) == t == copy.deepcopy(t)
+            assert dataclasses.replace(t, rule_id=0) == dataclasses.replace(built, rule_id=0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                t.hole = not t.hole
+
+
+class TestSide:
+    """Side hashes by identity; everything else an Enum member does stays."""
+
+    def test_hash_is_identity(self):
+        assert Side.__hash__ is object.__hash__
+        assert {hash(s) for s in Side} == {object.__hash__(s) for s in Side}
+
+    def test_equality(self):
+        assert Side.STATE_ON_LEFT == Side.STATE_ON_LEFT != Side.STATE_ON_RIGHT
+        assert Side.STATE_ON_LEFT != "left"
+        assert Side("left") is Side.STATE_ON_LEFT
+
+    def test_pickle_and_copy_keep_the_member(self):
+        for s in Side:
+            assert pickle.loads(pickle.dumps(s)) is s
+            assert copy.deepcopy(s) is s
+        both = pickle.loads(pickle.dumps(BOTH))
+        assert both == BOTH == frozenset(Side) and Side.STATE_ON_RIGHT in both
+
+    def test_sets_and_counters(self):
+        assert LEFT | RIGHT == BOTH and BOTH - LEFT == RIGHT
+        assert Side.STATE_ON_LEFT in LEFT and Side.STATE_ON_RIGHT not in LEFT
+        counts = Counter([Side.STATE_ON_LEFT, Side.STATE_ON_RIGHT, Side.STATE_ON_LEFT])
+        assert counts == {Side.STATE_ON_LEFT: 2, Side.STATE_ON_RIGHT: 1}
+        assert {(1, Side.STATE_ON_LEFT): "x"}[(1, Side.STATE_ON_LEFT)] == "x"
+
 
 class TestInferSides:
     def test_adder(self, adder):
@@ -99,7 +145,27 @@ class TestInferSides:
         assert sides["q1"] == LEFT and warnings == []
 
 
+def _one_rule_spec(rule: Rule) -> MachineSpec:
+    return MachineSpec(symbols=("0", "1"), states=("q1",), rules=(rule,), default_symbol="0",
+                       initial_state="q1", tape=("0",), head=0)
+
+
 class TestCompileRuleset:
+    @pytest.mark.parametrize("rule, name", [
+        (Rule("q1", "0", "1", Move.RIGHT, "q9"), "q9"),
+        (Rule("q1", "0", "1", Move.LEFT, "q9"), "q9"),
+        (Rule("q7", "0", "1", Move.RIGHT, "q1"), "q7"),
+        (Rule("q7", "0", "1", Move.HALT, None), "q7"),
+    ])
+    def test_undeclared_state_is_a_trna_error_in_both_modes(self, rule, name):
+        """A spec built without validation may name a state it does not
+        declare; both modes report it as the missing codon."""
+        spec = _one_rule_spec(rule)
+        codec = build_codec(spec)
+        for mode in CompileMode:
+            with pytest.raises(TrnaError, match=f"^no codon for '{name}'$"):
+                compile_ruleset(spec, codec, mode)
+
     def test_utm_dual_counts(self, utm, utm_codec):
         trnas = compile_ruleset(utm, utm_codec, CompileMode.DUAL)
         assert len(trnas) == 25

@@ -35,11 +35,14 @@ holds:
 
 ``--probe`` instead times this checkout's ``src/`` in-process, at fixed
 sizes, and prints one JSON object: walker ``run`` microseconds per step in
-both directions, utm55's parse, codec, ``new_sim``, ``run`` and
-``bisimulate`` in microseconds, the parity FSM's ``fsm_run`` and
-``fsm_oracle`` over the same symbols and their ratio, and an 8-step
+both directions; utm55's parse, codec, ``compile_ruleset``, ``WindowIndex``,
+``new_sim``, ``run`` and ``bisimulate`` in microseconds, ``new_sim`` over
+``run``, and the lockstep check's microseconds per step, ``bisimulate``
+less ``new_sim`` and ``run`` over the run's steps, as a median of rounds
+that time the three back to back; the parity FSM's ``fsm_run`` and
+``fsm_oracle`` over the same symbols and their ratio; and an 8-step
 ``bisimulate`` at the growing edge of all-0 tapes, in milliseconds. Each
-figure is a median of repeated calls.
+timed figure is a median of repeated calls.
 """
 
 from __future__ import annotations
@@ -195,10 +198,27 @@ def _median_s(fn, calls: int) -> float:
     return statistics.median(times)
 
 
+def _median_check_s(new_sim, run, bisimulate, calls: int) -> float:
+    """Median over ``calls`` rounds of one ``bisimulate`` less one ``new_sim``
+    and one ``run``, timed back to back, so that the host's drift between
+    separately timed medians does not swamp their small difference."""
+    extra = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        new_sim()
+        run()
+        t1 = time.perf_counter()
+        bisimulate()
+        t2 = time.perf_counter()
+        extra.append((t2 - t1) - (t1 - t0))
+    return statistics.median(extra)
+
+
 def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
           parity_symbols=PARITY_SYMBOLS, repeats=REPEATS) -> dict:
     """Time the layers of the importable ``codonmachine``; see the module doc."""
     import codonmachine as cm
+    from codonmachine.sim import WindowIndex
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import walker_text
@@ -221,14 +241,19 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
     spec = cm.parse_machine_spec(spec_text)
     codec = cm.build_codec(spec, cm.parse_codec_overrides(codec_text))
     sim = cm.new_sim(spec, codec)
+    steps = cm.run(sim)[0].step_count
     phases = {
         "parse": lambda: cm.parse_machine_spec(spec_text),
         "codec": lambda: cm.build_codec(spec, cm.parse_codec_overrides(codec_text)),
+        "compile": lambda: cm.compile_ruleset(spec, codec),
+        "index": lambda: WindowIndex(sim.trnas),
         "new_sim": lambda: cm.new_sim(spec, codec),
         "run": lambda: cm.run(sim),
         "bisimulate": lambda: cm.bisimulate(spec, codec),
     }
     utm55 = {name: 1e6 * _median_s(fn, 40 * repeats) for name, fn in phases.items()}
+    check_us = 1e6 / steps * _median_check_s(
+        phases["new_sim"], phases["run"], phases["bisimulate"], 40 * repeats)
 
     fsm = cm.parse_fsm_spec(cm.corpus_spec_text("parity"))
     fsm_codec = cm.build_codec(fsm)
@@ -239,6 +264,8 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
         "python": platform.python_version(),
         "walker_run_us_per_step": walker,
         "utm55_us": utm55,
+        "utm55_new_sim_over_run": utm55["new_sim"] / utm55["run"],
+        "utm55_check_us_per_step": check_us,
         "parity": {"fsm_run_ms": 1e3 * run_s, "fsm_oracle_ms": 1e3 * oracle_s,
                    "ratio": run_s / oracle_s},
         f"bisimulate_{BISIM_STEPS}_steps_ms": bisim,
