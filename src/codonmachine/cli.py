@@ -1,20 +1,28 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands and the options each takes:
 
-* ``compile SPEC``  -- print the encoded tape and the tRNA listing
-* ``run SPEC``      -- execute mechanically, print the trace and final state
-* ``verify SPEC``   -- lockstep-check the mechanical run against the
-  classical interpreter
-* ``fsm SPEC INPUT`` -- run an FSM spec over an input string
-* ``corpus [NAME]`` -- list bundled machines or print one's spec/codec text
+* ``compile SPEC [--codec] [--mode]`` -- print the encoded tape and the tRNA
+  listing
+* ``run SPEC [--codec] [--mode] [--arrival] [--seed] [--max-steps]
+  [--format]`` -- execute mechanically, print the trace and final state
+* ``verify SPEC [--codec] [--mode] [--max-steps] [--format]`` --
+  lockstep-check the mechanical run against the classical interpreter
+* ``fsm SPEC INPUT [--codec]`` -- run an FSM spec over an input string
+* ``corpus [NAME] [--part]`` -- list bundled machines or print one's
+  spec/codec text
+
+Each option is declared once, in a parent parser shared by the commands that
+take it, and every command that reads a machine loads it through ``_load``,
+which rejects a --max-steps below 1 before it reads anything.
 
 SPEC is a bundled machine name or a path to a spec file. Bundled machines use
 their bundled codec automatically; ``--codec`` points at an override file.
 
 Exit codes: 0 success, 1 parse/validation failure or a --max-steps below 1,
 2 codec failure, 3 step limit reached, 4 nondeterministic match fault,
-5 verification divergence.
+5 verification divergence. The console script ends by SIGPIPE, silently,
+when its stdout is closed early (``| head``).
 """
 
 from __future__ import annotations
@@ -22,16 +30,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import signal
 import sys
 
-from .codec import CodecError, build_codec, parse_codec_overrides
+from .codec import Codec, CodecError, build_codec, parse_codec_overrides
 from .corpus import builtin_corpus, corpus_codec_text, corpus_overrides, corpus_spec_text
 from .fsm import FsmError, fsm_run
 from .machine import FsmSpec, MachineSpec, SpecError, parse_spec
 from .oracle import bisimulate
 from .sim import DEFAULT_MAX_STEPS, Arrival, NondeterminismFault, Outcome, iter_run, new_sim
-from .tape import decode_tape
-from .trna import CompileMode, infer_sides, move_row, render_trna_listing
+from .tape import decode_tape, encode_tape
+from .trna import CompileMode, compile_ruleset, infer_sides, move_row, render_trna_listing
 
 TRACE_FORMAT_HEADER = {"format": "codonmachine-trace", "version": 1}
 
@@ -49,64 +58,57 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _load_spec(ref: str) -> tuple[MachineSpec | FsmSpec, str | None]:
-    """Resolve a corpus name or file path; returns (spec, corpus_name). A
-    bundled name wins over a file of the same name."""
+# the error for a spec of the other kind, per kind a command needs
+_WRONG_KIND = {
+    MachineSpec: "this command needs a Turing machine spec",
+    FsmSpec: "fsm needs an FSM spec",
+}
+
+
+def _read(path: str, code: int, what: str) -> str:
     try:
-        text = corpus_spec_text(ref)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise _CliFailure(code, f"cannot read {what} {path!r}: {e}")
+
+
+def _load(args, kind: type) -> tuple[MachineSpec | FsmSpec, Codec]:
+    """Check the step budget, if the command has one, before anything is read;
+    then resolve SPEC, a bundled name winning over a file of the same name,
+    check its kind and build its codec from ``--codec`` or the bundled one."""
+    if vars(args).get("max_steps", 1) < 1:
+        raise _CliFailure(EXIT_SPEC, f"--max-steps must be at least 1, got {args.max_steps}")
+    try:
+        text = corpus_spec_text(args.spec)
     except KeyError:  # not bundled: a file path
-        text = None
-    if text is not None:
-        return parse_spec(text), ref
+        text = _read(args.spec, EXIT_SPEC, "spec")
     try:
-        with open(ref, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise _CliFailure(EXIT_SPEC, f"cannot read spec {ref!r}: {e}")
-    try:
-        return parse_spec(text), None
+        spec = parse_spec(text)
     except SpecError as e:
-        raise _CliFailure(EXIT_SPEC, f"{ref}: {e}")
-
-
-def _load_codec(spec, corpus_name: str | None, codec_path: str | None):
+        raise _CliFailure(EXIT_SPEC, f"{args.spec}: {e}")
+    if not isinstance(spec, kind):
+        raise _CliFailure(EXIT_SPEC, _WRONG_KIND[kind])
     try:
-        if codec_path:
-            with open(codec_path, encoding="utf-8") as f:
-                overrides = parse_codec_overrides(f.read())
-        else:
-            overrides = corpus_overrides(corpus_name) if corpus_name else None
-        return build_codec(spec, overrides)
-    except OSError as e:
-        raise _CliFailure(EXIT_CODEC, f"cannot read codec {codec_path!r}: {e}")
+        if args.codec:
+            overrides = parse_codec_overrides(_read(args.codec, EXIT_CODEC, "codec"))
+        else:  # None unless bundled: only bundled names have override texts
+            overrides = corpus_overrides(args.spec)
+        return spec, build_codec(spec, overrides)
     except CodecError as e:
         raise _CliFailure(EXIT_CODEC, f"codec: {e}")
 
 
-def _require_tm(spec) -> MachineSpec:
-    if not isinstance(spec, MachineSpec):
-        raise _CliFailure(EXIT_SPEC, "this command needs a Turing machine spec")
-    return spec
-
-
 def cmd_compile(args) -> int:
-    spec, corpus_name = _load_spec(args.spec)
-    spec = _require_tm(spec)
-    codec = _load_codec(spec, corpus_name, args.codec)
+    spec, codec = _load(args, MachineSpec)
     mode = CompileMode(args.mode)
-    sim = new_sim(spec, codec, mode)
     if mode is CompileMode.INFERRED:
         for w in infer_sides(spec)[1]:
             print(f"warning: {w}", file=sys.stderr)
-    print(sim.tape.render())
+    print(encode_tape(spec, codec).render())
     print()
-    print(render_trna_listing(list(sim.trnas)))
+    print(render_trna_listing(compile_ruleset(spec, codec, mode)))
     return EXIT_OK
-
-
-def _check_budget(args) -> None:
-    if args.max_steps < 1:
-        raise _CliFailure(EXIT_SPEC, f"--max-steps must be at least 1, got {args.max_steps}")
 
 
 def _structured_event(e, before, after, codec) -> str:
@@ -135,10 +137,7 @@ def _text_event(after, e) -> str:
 
 
 def cmd_run(args) -> int:
-    _check_budget(args)
-    spec, corpus_name = _load_spec(args.spec)
-    spec = _require_tm(spec)
-    codec = _load_codec(spec, corpus_name, args.codec)
+    spec, codec = _load(args, MachineSpec)
     arrival = Arrival(args.arrival)
     final = new_sim(spec, codec, CompileMode(args.mode), rng_seed=args.seed)
     structured = args.format == "structured"
@@ -168,10 +167,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_budget(args)
-    spec, corpus_name = _load_spec(args.spec)
-    spec = _require_tm(spec)
-    codec = _load_codec(spec, corpus_name, args.codec)
+    spec, codec = _load(args, MachineSpec)
     verdict = bisimulate(spec, codec, CompileMode(args.mode), args.max_steps)
     if args.format == "structured":
         record = {
@@ -194,10 +190,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fsm(args) -> int:
-    spec, corpus_name = _load_spec(args.spec)
-    if not isinstance(spec, FsmSpec):
-        raise _CliFailure(EXIT_SPEC, "fsm needs an FSM spec")
-    codec = _load_codec(spec, corpus_name, args.codec)
+    spec, codec = _load(args, FsmSpec)
     text = args.input
     if any(len(s) > 1 for s in spec.symbols):
         symbols = text.split()
@@ -246,50 +239,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--codec", help="codec override file")
-        p.add_argument(
-            "--mode",
-            choices=["dual", "inferred"],
-            default="dual",
-            help="read-row compilation mode (default: dual)",
-        )
+    # each option is declared once, in a parent shared by every command taking
+    # it; run's own options are a parent too, so its usage lists them in order
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("spec", help="corpus name or spec file")
+    source.add_argument("--codec", help="codec override file")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=["dual", "inferred"], default="dual",
+                      help="read-row compilation mode (default: dual)")
+    arrival = argparse.ArgumentParser(add_help=False)
+    arrival.add_argument("--arrival", choices=["deterministic", "stochastic"],
+                         default="deterministic")
+    arrival.add_argument("--seed", type=int, default=None, help="stochastic arrival seed")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    budget.add_argument("--format", choices=["text", "structured"], default="text")
 
-    p = sub.add_parser("compile", help="print encoded tape and tRNA listing")
-    p.add_argument("spec", help="corpus name or spec file")
-    common(p)
-    p.set_defaults(func=cmd_compile)
+    def command(name, func, help, parents=()):
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("run", help="execute the mechanical simulation")
-    p.add_argument("spec")
-    common(p)
-    p.add_argument(
-        "--arrival",
-        choices=["deterministic", "stochastic"],
-        default="deterministic",
-    )
-    p.add_argument("--seed", type=int, default=None, help="stochastic arrival seed")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("verify", help="lockstep-check against the classical run")
-    p.add_argument("spec")
-    common(p)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("fsm", help="run an FSM over an input string")
-    p.add_argument("spec")
-    p.add_argument("input")
-    p.add_argument("--codec", help="codec override file")
-    p.set_defaults(func=cmd_fsm)
-
-    p = sub.add_parser("corpus", help="list or print bundled machines")
+    command("compile", cmd_compile, "print encoded tape and tRNA listing", (source, mode))
+    command("run", cmd_run, "execute the mechanical simulation", (source, mode, arrival, budget))
+    command("verify", cmd_verify, "lockstep-check against the classical run",
+            (source, mode, budget))
+    command("fsm", cmd_fsm, "run an FSM over an input string", (source,)).add_argument("input")
+    p = command("corpus", cmd_corpus, "list or print bundled machines")
     p.add_argument("name", nargs="?")
     p.add_argument("--part", choices=["spec", "codec"], default="spec")
-    p.set_defaults(func=cmd_corpus)
 
     return parser
 
@@ -307,6 +285,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # a closed stdout (``| head``) ends the console script silently, as it
+    # ends any filter, instead of raising BrokenPipeError; main() is unchanged
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

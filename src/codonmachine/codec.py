@@ -189,16 +189,11 @@ def build_codec(
         raise CodecError(f"symbol codon length must be positive and even, got {symbol_len}")
     if state_len < 1:
         raise CodecError(f"state codon length must be positive, got {state_len}")
-    if capacity(symbol_len) < len(spec.symbols):
-        raise CodecError(
-            f"{len(spec.symbols)} symbols exceed capacity {capacity(symbol_len)} "
-            f"of length {symbol_len}"
-        )
-    if capacity(state_len) < len(spec.states):
-        raise CodecError(
-            f"{len(spec.states)} states exceed capacity {capacity(state_len)} "
-            f"of length {state_len}"
-        )
+    for kind, length, names in (("symbol", symbol_len, spec.symbols),
+                                ("state", state_len, spec.states)):
+        if capacity(length) < len(names):
+            raise CodecError(f"{len(names)} {kind}s exceed capacity {capacity(length)} "
+                             f"of length {length}")
 
     # zip draws as many codons as there are names, each valid by construction
     symbol_write = dict(zip(spec.symbols, _balanced(symbol_len)))

@@ -319,29 +319,25 @@ def _join_tape(tape: tuple[str, ...]) -> str:
     return " ".join(tape)
 
 
-def serialize_machine_spec(spec: MachineSpec) -> str:
-    lines = [
-        "symbols: " + " ".join(spec.symbols),
-        "states: " + " ".join(spec.states),
-    ]
-    for r in spec.rules:
-        next_token = "-" if r.next_state is None else r.next_state
-        lines.append(
-            f"rule: {r.state} {r.read_symbol} {r.write_symbol} {r.move.value} {next_token}"
-        )
-    lines.append(f"default: {spec.default_symbol}")
-    lines.append(f"initial: {spec.initial_state}")
-    lines.append(f"tape: {_join_tape(spec.tape)}")
-    lines.append(f"head: {spec.head}")
+def format_rule(r: Rule) -> str:
+    """A rule as the text format spells it, ``state read write move next``,
+    with ``-`` for a halt's next state."""
+    next_token = "-" if r.next_state is None else r.next_state
+    return f"{r.state} {r.read_symbol} {r.write_symbol} {r.move.value} {next_token}"
+
+
+def _spec_text(spec: MachineSpec | FsmSpec, *lines: str) -> str:
+    """Either kind's text: the alphabets, then ``lines``."""
+    lines = (f"symbols: {' '.join(spec.symbols)}", f"states: {' '.join(spec.states)}", *lines)
     return "\n".join(lines) + "\n"
+
+
+def serialize_machine_spec(spec: MachineSpec) -> str:
+    return _spec_text(spec, *(f"rule: {format_rule(r)}" for r in spec.rules),
+                      f"default: {spec.default_symbol}", f"initial: {spec.initial_state}",
+                      f"tape: {_join_tape(spec.tape)}", f"head: {spec.head}")
 
 
 def serialize_fsm_spec(spec: FsmSpec) -> str:
-    lines = [
-        "symbols: " + " ".join(spec.symbols),
-        "states: " + " ".join(spec.states),
-    ]
-    for (state, symbol), new in spec.transitions.items():
-        lines.append(f"fsm-rule: {state} {symbol} {new}")
-    lines.append(f"initial: {spec.initial_state}")
-    return "\n".join(lines) + "\n"
+    rules = (f"fsm-rule: {q} {s} {new}" for (q, s), new in spec.transitions.items())
+    return _spec_text(spec, *rules, f"initial: {spec.initial_state}")

@@ -202,6 +202,10 @@ def _stochastic_trials(sim: SimInstance) -> int:
     return 1 + int(math.log(1.0 - u) / math.log1p(-1.0 / pool))
 
 
+# a module global: on Python 3.11 ``Arrival.DETERMINISTIC`` costs over 100 ns a read
+_DETERMINISTIC = Arrival.DETERMINISTIC
+
+
 def step(
     sim: SimInstance, arrival: Arrival = Arrival.DETERMINISTIC
 ) -> tuple[SimInstance, TraceEvent | None]:
@@ -213,7 +217,7 @@ def step(
     if found is None:
         return _successor(sim, sim.tape, sim.step_count, True), None
     scan_index, trna, side = found
-    trials = scan_index + 1 if arrival is Arrival.DETERMINISTIC else _stochastic_trials(sim)
+    trials = scan_index + 1 if arrival is _DETERMINISTIC else _stochastic_trials(sim)
     after = apply_trna(trna, sim)
     state = after.__dict__  # apply_trna's fresh successor: no one else holds it yet
     state["trial_count"] += trials

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .codec import Codec, read_form
-from .machine import MachineSpec, Move, Rule
+from .machine import MachineSpec, Move, Rule, format_rule
 
 
 class Side(Enum):
@@ -169,12 +169,7 @@ def render_trna(t: Trna) -> str:
     Single-sided records list one ``read:`` row; dual records list a quoted
     summary row plus ``read1:``/``read2:``.
     """
-    r = t.rule
-    next_token = "-" if r.next_state is None else r.next_state
-    lines = [
-        f"{t.rule_id}. {r.state} {r.read_symbol} {r.write_symbol} "
-        f"{r.move.value} {next_token}:"
-    ]
+    lines = [f"{t.rule_id}. {format_rule(t.rule)}:"]
     left = t.read_row(Side.STATE_ON_LEFT)
     right = t.read_row(Side.STATE_ON_RIGHT)
     if left and right:

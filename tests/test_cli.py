@@ -1,5 +1,10 @@
+import argparse
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +20,8 @@ from codonmachine import (
     new_sim,
     parse_spec,
 )
-from codonmachine.cli import main
+import codonmachine
+from codonmachine.cli import _build_parser, main
 from codonmachine.corpus import UNARY_ADDER_TEXT, UTM55_CODEC_TEXT
 
 from conftest import UTM_FINAL_TAPE, UTM_HALT_STEPS
@@ -277,6 +283,72 @@ def test_non_positive_budget_exits_one(capsys, command, budget):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --max-steps must be at least 1")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_budget_is_checked_before_the_spec_is_read(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing.spec")
+    code, out, err = run_cli(capsys, command, missing, "--max-steps", "0")
+    assert (code, out, err) == (1, "", "error: --max-steps must be at least 1, got 0\n")
+
+
+_SOURCE = {"spec": ((), None, None, None, None), "codec": (("--codec",), None, None, None, None)}
+_MODE = {"mode": (("--mode",), "dual", ("dual", "inferred"), None, None)}
+_BUDGET = {
+    "max_steps": (("--max-steps",), 10_000, None, int, None),
+    "format": (("--format",), "text", ("text", "structured"), None, None),
+}
+OPTION_TABLES = {
+    "compile": {**_SOURCE, **_MODE},
+    "run": {
+        **_SOURCE,
+        **_MODE,
+        "arrival": (("--arrival",), "deterministic", ("deterministic", "stochastic"), None, None),
+        "seed": (("--seed",), None, None, int, None),
+        **_BUDGET,
+    },
+    "verify": {**_SOURCE, **_MODE, **_BUDGET},
+    "fsm": {**_SOURCE, "input": ((), None, None, None, None)},
+    "corpus": {
+        "name": ((), None, None, None, "?"),
+        "part": (("--part",), "spec", ("spec", "codec"), None, None),
+    },
+}
+
+
+def test_option_tables():
+    """Each subcommand's arguments by dest: option strings, default, choices,
+    type and nargs."""
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {
+        name: {
+            a.dest: (tuple(a.option_strings), a.default,
+                     a.choices and tuple(a.choices), a.type, a.nargs)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for name, p in commands.choices.items()
+    }
+    assert tables == OPTION_TABLES
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_console_script_by_sigpipe():
+    """``codonmachine run bb5.spec --max-steps 20000 | head -n 1``: once the
+    reader closes the pipe, the console script dies by SIGPIPE, as a filter
+    does, with nothing on stderr."""
+    src = str(Path(codonmachine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["run", str(GOLDEN / "bb5.spec"), "--max-steps", "20000"]
+    script = "from codonmachine.cli import entrypoint; entrypoint()"
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)  # reads stderr alone: stdout is closed
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+    assert first == b"0011_01_1111\n"  # the encoded initial tape
 
 
 class TestFsm:

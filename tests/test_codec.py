@@ -241,7 +241,7 @@ def reference_build_codec(spec, overrides=None):
     return Codec(symbol_len, state_len, symbol_write, state_write)
 
 
-FAULTS = ["undeclared", "length", "halt", "character", "unbalanced", "duplicate"]
+FAULTS = ["undeclared", "length", "halt", "character", "unbalanced", "duplicate", "capacity"]
 SEEDS = range(400)
 
 
@@ -269,6 +269,17 @@ def _drawn_overrides(rng, spec):
 
 def _overrides(lengths, given):
     return CodecOverrides(*lengths, given["symbol"] or None, given["state"] or None)
+
+
+def _too_short(rng, spec, lengths):
+    """``lengths`` with one kind's length drawn valid but too short for its
+    names; None when neither kind has such a length."""
+    least = min_lengths(len(spec.symbols), len(spec.states))
+    short = [(0, n) for n in range(2, least[0], 2)] + [(1, n) for n in range(1, least[1])]
+    if not short:
+        return None
+    k, n = rng.choice(short)
+    return [n if i == k else length for i, length in enumerate(lengths)]
 
 
 def _inject(rng, spec, codec, given, fault):
@@ -306,9 +317,10 @@ def _inject(rng, spec, codec, given, fault):
 @pytest.mark.parametrize("fault", [None, *FAULTS])
 def test_build_codec_matches_the_reference(fault):
     """Seeded machines up to 6 states and 5 symbols; override sets that are
-    valid or carry exactly one fault. A set already faulty before its fault
-    is injected is skipped."""
-    compared = 0
+    valid or carry exactly one fault, or, for ``capacity``, a symbol or state
+    length too short for the names, drawn codons unchanged. A set already
+    faulty before its fault is injected is skipped."""
+    compared, messages = 0, set()
     for seed in SEEDS:
         rng = random.Random(seed)
         spec = random_total_machine(rng, max_states=6, max_symbols=5)
@@ -316,7 +328,11 @@ def test_build_codec_matches_the_reference(fault):
         base = _result(reference_build_codec, spec, _overrides(lengths, given))
         if base[0] == "error":
             continue
-        if fault is not None:
+        if fault == "capacity":
+            lengths = _too_short(rng, spec, lengths)
+            if lengths is None:
+                continue
+        elif fault is not None:
             given = _inject(rng, spec, base[1], given, fault)
             if given is None:
                 continue
@@ -325,7 +341,11 @@ def test_build_codec_matches_the_reference(fault):
         assert want[0] == ("codec" if fault is None else "error"), (seed, want)
         assert _result(build_codec, spec, overrides) == want, (seed, overrides)
         compared += 1
+        if fault == "capacity":
+            messages.add(want[1].split()[1])
     assert compared >= len(SEEDS) // 3
+    if fault == "capacity":  # both kinds' messages were compared
+        assert messages == {"symbols", "states"}
 
 
 class TestTrnaWidth:
