@@ -16,7 +16,6 @@ from .codec import (
     min_lengths,
     parse_codec_overrides,
     read_form,
-    trna_width,
 )
 from .corpus import builtin_corpus, corpus_codec, corpus_codec_text, corpus_spec_text
 from .fsm import FsmTrna, compile_fsm, fsm_oracle, fsm_run

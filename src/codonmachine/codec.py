@@ -159,11 +159,6 @@ class Codec:
         return self._state_names.get(codon)
 
 
-def trna_width(codec: Codec) -> int:
-    """Total field width of one tRNA row: state + symbol + state."""
-    return 2 * codec.state_len + codec.symbol_len
-
-
 def _is_balanced(bits: str) -> bool:
     return bits.count("1") == len(bits) // 2
 

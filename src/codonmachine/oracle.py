@@ -2,19 +2,20 @@
 
 The classical interpreter runs the 5-tuple table over a sparse absolute-
 position tape: a cell is read from the written ``symbols``, then from the
-``base`` tuple, then as the default symbol. ``bisimulate`` starts from the
-spec's tape as ``base``, shared and never copied, and records only the
-writes; the configurations that ``initial_config``, ``tm_step`` and
-``tm_run`` return hold every cell in ``symbols``. The bisimulation runs the
-interpreter side by side with the mechanical simulation. The mechanical
-tape must agree with the classical configuration on state, absolute head
-position, and the symbol content of every position either run has touched,
-and on every step both must fire a rule or both must halt. The freshly
-encoded tape is checked in codons against the initial configuration; each
-step is checked where it wrote, also in codons; and only the tape at the end
-(the halt or the budget) is decoded and compared whole, over the mechanical
-strand, which holds every position the classical tape records. Names are
-looked up only to report a divergence.
+``base`` tuple, then as the default symbol. Every classical run starts from
+the spec's tape as ``base``, shared and never copied, and records only the
+writes; a rule is looked up as what it does: the symbol it writes, the head
+shift and the next state. The configurations that ``initial_config``,
+``tm_step`` and ``tm_run`` return come from one conversion that puts every
+cell in ``symbols``. The bisimulation runs the interpreter side by side with
+the mechanical simulation. The mechanical tape must agree with the classical
+configuration on state, absolute head position, and the symbol content of
+every position either run has touched, and on every step both must fire a
+rule or both must halt. The freshly encoded tape is checked in codons against
+the initial configuration; each step is checked where it wrote, also in
+codons; and only the tape at the end (the halt or the budget) is decoded and
+compared whole, over the mechanical strand, which holds every position the
+classical tape records. Names are looked up only to report a divergence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import Codec, build_codec
-from .machine import MachineSpec, Move, Rule
+from .machine import MachineSpec, Move
 from .sim import DEFAULT_MAX_STEPS, Arrival, Outcome, iter_run, new_sim
 from .tape import DecodedConfig, EncodedTape, decode_tape
 from .trna import CompileMode, Trna
@@ -48,21 +49,31 @@ class ClassicalConfig:
         return symbol
 
 
+def _start(spec: MachineSpec) -> ClassicalConfig:
+    """The start of every classical run: no writes over the spec's tape."""
+    return ClassicalConfig({}, spec.initial_state, spec.head, base=spec.tape)
+
+
+def _full(cfg: ClassicalConfig) -> ClassicalConfig:
+    """``cfg`` as callers get it: a copy with every cell in ``symbols``, the
+    ``base`` cells first (copied once: ``|`` would copy them twice)."""
+    symbols = dict(enumerate(cfg.base))
+    symbols |= cfg.symbols
+    return ClassicalConfig(symbols, cfg.state, cfg.head)
+
+
 def initial_config(spec: MachineSpec) -> ClassicalConfig:
-    return ClassicalConfig(
-        symbols=dict(enumerate(spec.tape)), state=spec.initial_state, head=spec.head
-    )
+    return _full(_start(spec))
 
 
-_RuleTable = dict[tuple[str, str], Rule]
+# what a rule does: (write symbol, head shift, next state); a halt shifts 0 to None
+_RuleTable = dict[tuple[str, str], tuple[str, int, str | None]]
 
 
 def _rule_table(spec: MachineSpec) -> _RuleTable:
-    return {(r.state, r.read_symbol): r for r in spec.rules}
-
-
-# Enum members as globals: on Python 3.11 ``Move.HALT`` costs over 100 ns a read
-_HALT, _RIGHT = Move.HALT, Move.RIGHT
+    halt, right = Move.HALT, Move.RIGHT  # tested by identity: Enum members hash in Python
+    return {(r.state, r.read_symbol): (r.write_symbol, 0, None) if r.move is halt
+            else (r.write_symbol, 1 if r.move is right else -1, r.next_state) for r in spec.rules}
 
 
 def _classical_step(
@@ -77,19 +88,13 @@ def _classical_step(
     if symbol is None:
         base = cfg.base
         symbol = base[head] if 0 <= head < len(base) else default_symbol
-    rule = table.get((cfg.state, symbol))
-    if rule is None:
+    action = table.get((cfg.state, symbol))
+    if action is None:
         cfg.state = None
         return False
-    if probe:
-        return True
-    cfg.symbols[head] = rule.write_symbol
-    move = rule.move
-    if move is _HALT:
-        cfg.state = None
-    else:
-        cfg.head = head + 1 if move is _RIGHT else head - 1
-        cfg.state = rule.next_state
+    if not probe:
+        cfg.symbols[head], shift, cfg.state = action
+        cfg.head = head + shift
     return True
 
 
@@ -98,7 +103,7 @@ def tm_step(spec: MachineSpec, cfg: ClassicalConfig) -> ClassicalConfig:
     halt, not an error."""
     if cfg.state is None:
         raise ValueError("machine already halted")
-    nxt = ClassicalConfig(dict(enumerate(cfg.base)) | cfg.symbols, cfg.state, cfg.head)
+    nxt = _full(cfg)
     _classical_step(_rule_table(spec), spec.default_symbol, nxt)
     return nxt
 
@@ -120,25 +125,23 @@ class TmRunResult:
 
 
 def tm_run(spec: MachineSpec, max_steps: int = DEFAULT_MAX_STEPS) -> TmRunResult:
-    """Step the classical table until halt or the budget, tracking the touched
-    extent (initial cells + visits). As in ``sim.iter_run``, a machine stuck
-    exactly at the budget reports the halt. A stuck halt, like a halt rule,
-    leaves ``config.state`` None; ``run``'s final tape keeps the stuck state."""
+    """Step the classical table until halt or the budget. As in
+    ``sim.iter_run``, a machine stuck exactly at the budget reports the halt.
+    A stuck halt, like a halt rule, leaves ``config.state`` None; ``run``'s
+    final tape keeps the stuck state. The touched extent (cells 0 to the
+    tape's end, and every head position) is read at the end: each step writes
+    the cell it leaves, so the writes and the final head hold every position."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    table = _rule_table(spec)
-    cfg = initial_config(spec)
-    lo = min(0, cfg.head)
-    hi = max(len(spec.tape) - 1, cfg.head)
-    steps = 0
+    table, default, cfg, steps = _rule_table(spec), spec.default_symbol, _start(spec), 0
     while cfg.state is not None and steps < max_steps:
-        if _classical_step(table, spec.default_symbol, cfg):
-            steps += 1
-            lo, hi = min(lo, cfg.head), max(hi, cfg.head)
+        steps += _classical_step(table, default, cfg)
     if cfg.state is not None:
-        _classical_step(table, spec.default_symbol, cfg, probe=True)
+        _classical_step(table, default, cfg, probe=True)
     outcome = Outcome.HALTED if cfg.state is None else Outcome.STEP_LIMIT
-    return TmRunResult(config=cfg, steps=steps, outcome=outcome, min_pos=lo, max_pos=hi)
+    lo = min(0, cfg.head, *cfg.symbols)
+    hi = max(len(spec.tape) - 1, cfg.head, *cfg.symbols)
+    return TmRunResult(_full(cfg), steps, outcome, min_pos=lo, max_pos=hi)
 
 
 @dataclass(frozen=True)
@@ -309,12 +312,12 @@ def bisimulate(
     if codec is None:
         codec = build_codec(spec)
     sim = new_sim(spec, codec, mode, trnas=trnas)
-    table = _rule_table(spec)
-    cfg = ClassicalConfig({}, spec.initial_state, spec.head, base=spec.tape)
-    steps, written = 0, None  # absolute position of the cell the last step wrote
+    table, cfg = _rule_table(spec), _start(spec)
+    written = None  # absolute position of the cell the last step wrote
     divergence = _initial_divergence(spec, codec, sim.tape, cfg)
     for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):
         # check the tape this step starts from, then whether both sides fire
+        steps = sim.step_count
         if divergence is None and written is not None:
             divergence = _written_divergence(spec, codec, steps, written, sim.tape, cfg)
         if divergence is None and event is None:
@@ -325,7 +328,7 @@ def bisimulate(
         if divergence:
             return BisimVerdict(False, steps, None, divergence)
         written, sim = sim.tape.window_abs, after
-        steps += event is not None
+    steps = sim.step_count
     if not sim.halted:
         # iter_run stopped at the budget after its halt check found a rule
         _classical_step(table, spec.default_symbol, cfg, probe=True)

@@ -132,7 +132,7 @@ def test_probe_reports_every_figure():
         assert set(report["walker_run_us_per_step"][side]) == {"10", "20"}
         assert set(report["bisimulate_8_steps_ms"][side]) == {"8", "16"}
     assert set(report["utm55_us"]) == {"parse", "codec", "compile", "index", "new_sim", "run",
-                                       "bisimulate"}
+                                       "bisimulate", "tm_run"}
     utm55 = report["utm55_us"]
     assert report["utm55_new_sim_over_run"] == utm55["new_sim"] / utm55["run"]
     # a median of differences, so a loaded host may read it below 0

@@ -16,7 +16,6 @@ from codonmachine import (
     min_lengths,
     parse_codec_overrides,
     read_form,
-    trna_width,
 )
 from codonmachine.corpus import UTM55_CODEC_TEXT
 
@@ -52,6 +51,10 @@ class TestEnumerateBalanced:
         assert enumerate_balanced(3) == ["001", "010", "100"]
         assert enumerate_balanced(1) == ["0"]
 
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="codon length must be positive, got 0"):
+            enumerate_balanced(0)
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_against_brute_force(self, n):
         got = enumerate_balanced(n)
@@ -86,6 +89,11 @@ class TestMinLengths:
         # capacity(1) = 1 covers one state; the halt codon '1' is extra
         _, state_len = min_lengths(1, 1)
         assert state_len == 1
+
+    @pytest.mark.parametrize("counts", [(0, 3), (3, 0), (0, 0)])
+    def test_needs_a_symbol_and_a_state(self, counts):
+        with pytest.raises(ValueError, match="need at least one symbol and one state"):
+            min_lengths(*counts)
 
     def test_symbol_length_always_even(self):
         for n in range(1, 25):
@@ -157,6 +165,19 @@ class TestBuildCodec:
     def test_halt_codon_assignment_rejected(self, adder):
         with pytest.raises(CodecError, match="halt"):
             build_codec(adder, CodecOverrides(states={"q1": "111"}))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (CodecOverrides(symbol_len=0), "symbol codon length must be positive and even, got 0"),
+            (CodecOverrides(state_len=0), "state codon length must be positive, got 0"),
+            (CodecOverrides(state_len=-2), "state codon length must be positive, got -2"),
+        ],
+    )
+    def test_non_positive_length_rejected(self, adder, overrides, message):
+        with pytest.raises(CodecError) as info:
+            build_codec(adder, overrides)
+        assert str(info.value) == message
 
     def test_capacity_overflow_rejected(self, utm):
         with pytest.raises(CodecError, match="capacity"):
@@ -348,27 +369,21 @@ def test_build_codec_matches_the_reference(fault):
         assert messages == {"symbols", "states"}
 
 
-class TestTrnaWidth:
-    def test_adder(self, adder):
-        assert trna_width(build_codec(adder)) == 8
-
-    def test_utm(self, utm_codec):
-        assert trna_width(utm_codec) == 18
-
-    def test_short_state_wide_symbol(self, corpus):
-        codec = build_codec(
-            corpus["incrementer"], CodecOverrides(symbol_len=4, state_len=2)
-        )
-        assert codec.state_len == 2 and codec.symbol_len == 4
-        assert trna_width(codec) == 8
-
-
 class TestParseOverrides:
     def test_round_trip_fields(self):
         ov = parse_codec_overrides(UTM55_CODEC_TEXT)
         assert ov.symbol_len == 6 and ov.state_len == 6
         assert ov.symbols["d"] == "001110"
         assert ov.states["q5"] == "001110"
+
+    def test_blank_lines_ignored(self):
+        ov = parse_codec_overrides("\nsymbol x 01\n   \n\nstate-len 3\n\n")
+        assert (ov.symbols, ov.state_len, ov.symbol_len) == ({"x": "01"}, 3, None)
+
+    def test_bad_length(self):
+        with pytest.raises(CodecError) as info:
+            parse_codec_overrides("state-len 3\nsymbol-len six\n")
+        assert str(info.value) == "line 2: bad length 'six'"
 
     def test_bad_line(self):
         with pytest.raises(CodecError, match="line 1"):

@@ -62,6 +62,21 @@ class TestCompile:
         assert len(trnas) == 1
         assert trnas[0].new_state == codec.state_write["S"]
 
+    def test_missing_transition_rejected(self):
+        # a hand-built spec: the parser refuses a table that is not total
+        spec = FsmSpec(symbols=("x", "y"), states=("S",), transitions={("S", "x"): "S"},
+                       initial_state="S")
+        with pytest.raises(FsmError) as info:
+            compile_fsm(spec, build_codec(spec))
+        assert str(info.value) == "no transition for ('S', 'y')"
+
+    def test_codec_without_a_name_rejected(self, parity):
+        spec = FsmSpec(symbols=("0",), states=("A",), transitions={("A", "0"): "A"},
+                       initial_state="A")
+        with pytest.raises(FsmError) as info:
+            compile_fsm(parity, build_codec(spec))
+        assert str(info.value) == "no codon for '1'"
+
 
 class TestRun:
     def test_even_count_input(self, parity, parity_codec):
@@ -118,6 +133,10 @@ class TestRun:
         monkeypatch.setattr(fsm_module, "compile_fsm", lambda spec, codec: bad)
         with pytest.raises(FsmCompileCorruption, match="no tRNA matched"):
             fsm_run(parity, "10", parity_codec)  # rule 2 is (A, 1)
+        # the same deposit on the last input symbol leaves a final state with no name
+        with pytest.raises(FsmCompileCorruption) as info:
+            fsm_run(parity, "01", parity_codec)
+        assert str(info.value) == f"final codon {unnamed} names no state"
 
 
 class TestOracle:

@@ -36,6 +36,10 @@ class TestParse:
         assert spec.default_symbol == "#"
         assert spec.initial_state == "q1"
 
+    def test_blank_lines_skipped(self):
+        spaced = "\n" + UNARY_ADDER_TEXT.replace("\n", "\n\n  \n")
+        assert parse_machine_spec(spaced) == parse_machine_spec(UNARY_ADDER_TEXT)
+
     def test_adder_shape(self):
         spec = parse_machine_spec(UNARY_ADDER_TEXT)
         assert len(spec.symbols) == 2
@@ -329,6 +333,21 @@ class TestFsmParse:
         )
         with pytest.raises(SpecValidationError, match="duplicate"):
             parse_fsm_spec(text)
+
+    @pytest.mark.parametrize(
+        "old, new, violation",
+        [
+            ("initial: A", "initial: C", "undeclared initial state 'C'"),
+            ("fsm-rule: B 1 A", "fsm-rule: B 2 A", "transition on undeclared pair ('B', '2')"),
+            ("fsm-rule: B 1 A", "fsm-rule: C 1 A", "transition on undeclared pair ('C', '1')"),
+            ("fsm-rule: B 1 A", "fsm-rule: B 1 C",
+             "transition ('B', '1') to undeclared state 'C'"),
+        ],
+    )
+    def test_undeclared_names_rejected(self, old, new, violation):
+        with pytest.raises(SpecValidationError) as info:
+            parse_fsm_spec(PARITY_TEXT.replace(old, new))
+        assert violation in info.value.violations
 
     def test_tm_directive_rejected(self):
         with pytest.raises(SpecSyntaxError, match="not allowed"):

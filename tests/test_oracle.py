@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from codonmachine import (
     validate,
 )
 from codonmachine.cli import main
+from codonmachine.oracle import TmRunResult
 
 from conftest import (
     INCREMENTER_FINAL_HEAD,
@@ -165,6 +167,11 @@ class TestTmRun:
         r = tm_run(utm, max_steps=10)
         assert r.outcome is Outcome.STEP_LIMIT
         assert r.steps == 10
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_bad_budget_rejected(self, adder, budget):
+        with pytest.raises(ValueError, match="max_steps must be at least 1"):
+            tm_run(adder, max_steps=budget)
 
     def test_stuck_halt_leaves_no_state(self):
         # no rule for q1 on the default 1 at head 2: tm_run reports the stuck
@@ -377,3 +384,111 @@ class TestFuzz:
                 seen |= fired(spec, mode)
         assert outcomes == {Outcome.HALTED, Outcome.STEP_LIMIT}
         assert len(seen) >= 2 * len(fired(utm, CompileMode.DUAL))
+
+
+# The classical reference as it stood before its rules became a table of what
+# each one does and before tm_run read its extent at the end: it tracks the
+# extent on every step and decides each rule's move as it fires.
+
+
+def reference_rule_table(spec):
+    return {(r.state, r.read_symbol): r for r in spec.rules}
+
+
+def reference_classical_step(table, default_symbol, cfg, probe=False):
+    head = cfg.head
+    symbol = cfg.symbols.get(head)
+    if symbol is None:
+        base = cfg.base
+        symbol = base[head] if 0 <= head < len(base) else default_symbol
+    rule = table.get((cfg.state, symbol))
+    if rule is None:
+        cfg.state = None
+        return False
+    if probe:
+        return True
+    cfg.symbols[head] = rule.write_symbol
+    if rule.move is Move.HALT:
+        cfg.state = None
+    else:
+        cfg.head = head + 1 if rule.move is Move.RIGHT else head - 1
+        cfg.state = rule.next_state
+    return True
+
+
+def reference_tm_run(spec, max_steps):
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    table = reference_rule_table(spec)
+    cfg = ClassicalConfig(dict(enumerate(spec.tape)), spec.initial_state, spec.head)
+    lo = min(0, cfg.head)
+    hi = max(len(spec.tape) - 1, cfg.head)
+    steps = 0
+    while cfg.state is not None and steps < max_steps:
+        if reference_classical_step(table, spec.default_symbol, cfg):
+            steps += 1
+            lo, hi = min(lo, cfg.head), max(hi, cfg.head)
+    if cfg.state is not None:
+        reference_classical_step(table, spec.default_symbol, cfg, probe=True)
+    outcome = Outcome.HALTED if cfg.state is None else Outcome.STEP_LIMIT
+    return TmRunResult(config=cfg, steps=steps, outcome=outcome, min_pos=lo, max_pos=hi)
+
+
+def _result(run_fn, spec, budget):
+    """The whole result with its cells' insertion order, or the exception's
+    type and message."""
+    try:
+        r = run_fn(spec, budget)
+    except Exception as e:
+        return type(e), str(e)
+    return r, list(r.config.symbols)
+
+
+_WALK = (Rule("a", "0", "1", Move.RIGHT, "b"), Rule("b", "0", "1", Move.LEFT, "a"),
+         Rule("a", "1", "0", Move.LEFT, "b"), Rule("b", "1", "1", Move.HALT, None))
+_HAND = MachineSpec(symbols=("0", "1"), states=("a", "b"), rules=_WALK, default_symbol="0",
+                    initial_state="a", tape=("1", "0"), head=1)
+
+# specs the parser rejects, built by hand
+HAND_BUILT = {
+    "empty-tape": dataclasses.replace(_HAND, tape=(), head=0),
+    # the extent still reaches cell -1, the end of the empty tape
+    "empty-tape-head-left": dataclasses.replace(
+        _HAND, tape=(), head=-3, rules=(Rule("a", "0", "0", Move.LEFT, "a"),)),
+    "head-right-of-the-tape": dataclasses.replace(_HAND, head=5),
+    "head-left-of-the-tape": dataclasses.replace(_HAND, head=-3),
+    "halt-rule-names-a-state": dataclasses.replace(
+        _HAND, rules=(Rule("a", "0", "0", Move.HALT, "a"),)),
+    "right-move-names-no-state": dataclasses.replace(
+        _HAND, rules=(Rule("a", "0", "1", Move.RIGHT, None),)),
+    "left-move-names-no-state": dataclasses.replace(
+        _HAND, rules=(Rule("a", "0", "1", Move.LEFT, None),)),
+}
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestReferenceDifferential:
+    """``tm_run`` returns what the reference above returns: the whole
+    ``TmRunResult``, cell order included, or the same exception."""
+
+    @pytest.mark.parametrize("draw", [random_total_machine, random_partial_machine])
+    def test_seeded_machines(self, draw):
+        rng = random.Random(2121)
+        for _ in range(150):
+            spec = draw(rng)
+            for budget in (1, 2, 3, 10, 50, 500):
+                assert _result(tm_run, spec, budget) == _result(reference_tm_run, spec, budget), (
+                    spec, budget)
+
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_specs(self, name, budget):
+        spec = HAND_BUILT[name]
+        assert validate(spec)
+        assert _result(tm_run, spec, budget) == _result(reference_tm_run, spec, budget)
+
+    @pytest.mark.parametrize("name, budget", [("bb4", 1_000), ("bb5", 20_000)])
+    def test_champions(self, name, budget):
+        spec = parse_machine_spec((GOLDEN / f"{name}.spec").read_text(encoding="utf-8"))
+        assert _result(tm_run, spec, budget) == _result(reference_tm_run, spec, budget)

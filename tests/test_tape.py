@@ -76,6 +76,20 @@ class TestEncode:
         with pytest.raises(TapeError, match="no codon"):
             encode_tape(spec, adder_codec)
 
+    def test_uncovered_initial_state_rejected(self, adder, adder_codec):
+        spec = MachineSpec(
+            symbols=adder.symbols,
+            states=("q1", "q4"),
+            rules=(),
+            default_symbol="0",
+            initial_state="q4",
+            tape=("0",),
+            head=0,
+        )
+        with pytest.raises(TapeError) as info:
+            encode_tape(spec, adder_codec)
+        assert str(info.value) == "initial state 'q4' has no codon"
+
 
 def one_cell_tape():
     # 001_01_111: a single default-0 cell with q1 parked on its left
@@ -353,3 +367,9 @@ class TestZipperAgainstTuples:
             tape = grow(tape, "right", "01").write(("111", "10", "001"), 1)
         assert pickle.loads(pickle.dumps(tape)) == tape
         assert copy.deepcopy(tape) == tape
+
+    def test_equal_only_to_a_tape(self):
+        tape = one_cell_tape()
+        assert tape.__eq__(object()) is NotImplemented
+        assert tape != object() and tape != tape.fields
+        assert tape == one_cell_tape()

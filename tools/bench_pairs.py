@@ -36,13 +36,13 @@ holds:
 ``--probe`` instead times this checkout's ``src/`` in-process, at fixed
 sizes, and prints one JSON object: walker ``run`` microseconds per step in
 both directions; utm55's parse, codec, ``compile_ruleset``, ``WindowIndex``,
-``new_sim``, ``run`` and ``bisimulate`` in microseconds, ``new_sim`` over
-``run``, and the lockstep check's microseconds per step, ``bisimulate``
-less ``new_sim`` and ``run`` over the run's steps, as a median of rounds
-that time the three back to back; the parity FSM's ``fsm_run`` and
-``fsm_oracle`` over the same symbols and their ratio; and an 8-step
-``bisimulate`` at the growing edge of all-0 tapes, in milliseconds. Each
-timed figure is a median of repeated calls.
+``new_sim``, ``run``, ``bisimulate`` and the classical ``tm_run`` in
+microseconds, ``new_sim`` over ``run``, and the lockstep check's
+microseconds per step, ``bisimulate`` less ``new_sim`` and ``run`` over the
+run's steps, as a median of rounds that time the three back to back; the
+parity FSM's ``fsm_run`` and ``fsm_oracle`` over the same symbols and their
+ratio; and an 8-step ``bisimulate`` at the growing edge of all-0 tapes, in
+milliseconds. Each timed figure is a median of repeated calls.
 """
 
 from __future__ import annotations
@@ -250,6 +250,7 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
         "new_sim": lambda: cm.new_sim(spec, codec),
         "run": lambda: cm.run(sim),
         "bisimulate": lambda: cm.bisimulate(spec, codec),
+        "tm_run": lambda: cm.tm_run(spec),
     }
     utm55 = {name: 1e6 * _median_s(fn, 40 * repeats) for name, fn in phases.items()}
     check_us = 1e6 / steps * _median_check_s(
