@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 from .machine import FsmSpec, MachineSpec
 
@@ -134,22 +133,20 @@ def parse_codec_overrides(text: str) -> CodecOverrides:
 
 @dataclass(frozen=True)
 class Codec:
+    """Write codons by name. The halt codon and the two reverse maps are set
+    once, in ``__post_init__``, so ``dataclasses.replace`` rebuilds them."""
+
     symbol_len: int
     state_len: int
     symbol_write: dict[str, str]
     state_write: dict[str, str]
 
-    @cached_property
-    def halt_state(self) -> str:
-        return "1" * self.state_len
-
-    @cached_property
-    def _symbol_names(self) -> dict[str, str]:
-        return {bits: name for name, bits in self.symbol_write.items()}
-
-    @cached_property
-    def _state_names(self) -> dict[str, str]:
-        return {bits: name for name, bits in self.state_write.items()}
+    def __post_init__(self):
+        object.__setattr__(self, "halt_state", "1" * self.state_len)
+        object.__setattr__(self, "_symbol_names",
+                           {bits: name for name, bits in self.symbol_write.items()})
+        object.__setattr__(self, "_state_names",
+                           {bits: name for name, bits in self.state_write.items()})
 
     def symbol_name(self, codon: str) -> str | None:
         """Reverse-map a write codon to its symbol name, if assigned."""

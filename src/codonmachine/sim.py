@@ -9,10 +9,11 @@ halted.
 
 Matching is one dict lookup: each instance carries a ``WindowIndex``, built
 once from its tRNAs, that maps the complement of every read row (the window
-that row locks onto) to the row's scan position, tRNA and side. A step is
-then O(1): one lookup, at most one grow at the edge the window is about to
-cross, and one write. The step builds each successor instance and its event
-once, without the dataclass ``__init__``: the successor copies its
+that row locks onto) to the row's scan position, tRNA and side. On an index
+with no clashing window the lookup is the rows' own ``dict.get``, so it runs
+in C. A step is then O(1): one lookup, at most one grow at the edge the
+window is about to cross, and one write. It builds one tape, one instance and
+one event, without the dataclass ``__init__``: ``apply_trna`` copies the
 predecessor's fields in one dict, with the tRNAs and index it already holds,
 and ``step`` adds the trials to that fresh instance.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .codec import Codec, read_form
@@ -76,9 +77,14 @@ class WindowIndex:
     two rules match is recorded in ``clashes`` and raises NondeterminismFault
     when it is looked up, not when the index is built. ``pool`` counts the
     read rows.
+
+    ``match(window)`` returns the window's row or None. Without clashes it is
+    ``rows.get`` itself, so a lookup runs in C; with them it checks each
+    window first. A copy or a pickle rebuilds the index from its tRNAs, so
+    its ``match`` always reads its own ``rows``.
     """
 
-    __slots__ = ("trnas", "rows", "clashes", "pool")
+    __slots__ = ("trnas", "rows", "clashes", "pool", "match")
 
     def __init__(self, trnas: tuple[Trna, ...]):
         self.trnas = trnas
@@ -93,12 +99,15 @@ class WindowIndex:
         self.clashes = {w: sorted(ids) for w, ids in rule_ids.items()
                         if len(ids) > 1 and len(set(ids)) > 1}
         self.pool = sum(len(t.reads) for t in trnas)
+        self.match = self._checked_match if self.clashes else self.rows.get
 
-    def match(self, window: Window) -> tuple[int, Trna, Side] | None:
-        found = self.rows.get(window)
-        if self.clashes and window in self.clashes:
+    def __reduce__(self):
+        return WindowIndex, (self.trnas,)
+
+    def _checked_match(self, window: Window) -> tuple[int, Trna, Side] | None:
+        if window in self.clashes:
             raise NondeterminismFault(f"rules {self.clashes[window]} all match window {window}")
-        return found
+        return self.rows.get(window)
 
 
 @dataclass(frozen=True)
@@ -156,27 +165,26 @@ def match_window(trna: Trna, window: Window) -> Side | None:
 _new, _set = object.__new__, object.__setattr__
 
 
-def _successor(sim: SimInstance, tape: EncodedTape, step_count: int, halted: bool) -> SimInstance:
-    """``sim`` with a new tape, step count and halt flag, built without
-    ``__init__``. Its tRNAs, default codon, seed and index are the
-    predecessor's, which ``__post_init__`` has already made consistent, so the
-    fields are copied in one dict and nothing is checked again."""
+def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
+    """Grow the tape at the edge the shift would cross, then push the write
+    row down over the window and shift the window.
+
+    The successor is built without ``__init__``: its tRNAs, default codon,
+    seed and index are the predecessor's, which ``__post_init__`` has already
+    made consistent, so the fields are copied in one dict and nothing is
+    checked again."""
+    tape, shift = sim.tape, -1 if trna.hole else 1
+    moved = tape.window + shift
+    if moved < 0:
+        tape = grow(tape, "left", sim.default_codon)
+    elif moved == tape.cell_count:
+        tape = grow(tape, "right", sim.default_codon)
     state = sim.__dict__.copy()
-    state["tape"], state["step_count"], state["halted"] = tape, step_count, halted
+    state["tape"] = tape.write(trna.write, shift)
+    state["step_count"] += 1
     after = _new(SimInstance)
     _set(after, "__dict__", state)
     return after
-
-
-def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
-    """Grow the tape at the edge the shift would cross, then push the write
-    row down over the window and shift the window."""
-    tape, shift = sim.tape, -1 if trna.hole else 1
-    if tape.window + shift < 0:
-        tape = grow(tape, "left", sim.default_codon)
-    elif tape.window + shift == tape.cell_count:
-        tape = grow(tape, "right", sim.default_codon)
-    return _successor(sim, tape.write(trna.write, shift), sim.step_count + 1, sim.halted)
 
 
 _MASK64 = (1 << 64) - 1
@@ -212,10 +220,9 @@ def step(
     """One match-write-move attempt; no event means the machine just halted."""
     if sim.halted:
         raise ValueError("machine already halted")
-    window = sim.tape.window_triple()
-    found = sim.index.match(window)
+    found = sim.index.match(sim.tape.window_triple())
     if found is None:
-        return _successor(sim, sim.tape, sim.step_count, True), None
+        return replace(sim, halted=True), None
     scan_index, trna, side = found
     trials = scan_index + 1 if arrival is _DETERMINISTIC else _stochastic_trials(sim)
     after = apply_trna(trna, sim)

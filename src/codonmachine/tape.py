@@ -35,6 +35,7 @@ Rendered form: all fields joined with underscores, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Literal
 
 from .codec import Codec
@@ -84,17 +85,10 @@ class EncodedTape:
         return (f"{type(self).__qualname__}(fields={self.fields!r}, "
                 f"window={self.window!r}, origin={self.origin!r})")
 
-    @property
-    def window(self) -> int:
-        return self._window
-
-    @property
-    def origin(self) -> int:
-        return self._origin
-
-    @property
-    def cell_count(self) -> int:
-        return self._cells
+    # read-only views of three slots, read in C rather than by a Python getter
+    window = property(attrgetter("_window"))
+    origin = property(attrgetter("_origin"))
+    cell_count = property(attrgetter("_cells"))
 
     @property
     def fields(self) -> tuple[str, ...]:
@@ -148,28 +142,35 @@ class EncodedTape:
         one cell: left for a shift of -1, right for 1; any other shift raises
         TapeError. A move past either end needs ``grow`` there first."""
         slot, cell, next_slot = row
-        w, cells = self._window, self._cells
-        if shift not in (-1, 1):
-            raise TapeError(f"shift must be -1 or 1, got {shift!r}")
-        if not 0 <= w + shift < cells:
-            raise TapeError(f"window {w + shift} would be off the strand of {cells} cells: "
-                            "grow first")
+        cells = self._cells
         _, left, right, base, lb, rb = self._zipper
         if shift == 1:
+            w = self._window + 1
+            if w == cells:
+                raise _off_strand(w, cells)
             left = (cell, slot, left)
             if right is None:
                 triple, rb = (next_slot, base[rb], base[rb + 1]), rb + 2
             else:
                 near, far, right = right
                 triple = (next_slot, near, far)
-        else:
+        elif shift == -1:
+            w = self._window - 1
+            if w < 0:
+                raise _off_strand(w, cells)
             right = (cell, next_slot, right)
             if left is None:
                 triple, lb = (base[lb - 2], base[lb - 1], slot), lb - 2
             else:
                 near, far, left = left
                 triple = (far, near, slot)
-        return _zipped(w + shift, self._origin, cells, (triple, left, right, base, lb, rb))
+        else:
+            raise TapeError(f"shift must be -1 or 1, got {shift!r}")
+        return _zipped(w, self._origin, cells, (triple, left, right, base, lb, rb))
+
+
+def _off_strand(window: int, cells: int) -> TapeError:
+    return TapeError(f"window {window} would be off the strand of {cells} cells: grow first")
 
 
 def _unstack(stack) -> tuple[str, ...]:

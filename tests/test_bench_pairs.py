@@ -124,8 +124,8 @@ def test_probe_reports_every_figure():
                                parity_symbols=50, repeats=1)
     sides = {"right", "left"}
     assert set(report) == {"python", "walker_run_us_per_step", "utm55_us",
-                           "utm55_new_sim_over_run", "utm55_check_us_per_step", "parity",
-                           "bisimulate_8_steps_ms"}
+                           "utm55_new_sim_over_run", "utm55_check_us_per_step",
+                           "bb5_run_us_per_step", "parity", "bisimulate_8_steps_ms"}
     assert set(report["walker_run_us_per_step"]) == sides
     assert set(report["bisimulate_8_steps_ms"]) == sides
     for side in sides:
@@ -138,7 +138,8 @@ def test_probe_reports_every_figure():
     # a median of differences, so a loaded host may read it below 0
     assert isinstance(report["utm55_check_us_per_step"], float)
     assert set(report["parity"]) == {"fsm_run_ms", "fsm_oracle_ms", "ratio"}
-    figures = [*report["utm55_us"].values(), *report["parity"].values()]
+    figures = [*report["utm55_us"].values(), *report["parity"].values(),
+               report["bb5_run_us_per_step"]]
     for side in sides:
         figures += [*report["walker_run_us_per_step"][side].values(),
                     *report["bisimulate_8_steps_ms"][side].values()]

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -217,6 +220,38 @@ class TestBuildCodec:
     def test_undeclared_override_rejected(self, adder):
         with pytest.raises(CodecError, match="undeclared"):
             build_codec(adder, CodecOverrides(symbols={"9": "01"}))
+
+
+class TestDerivedLookups:
+    """The halt codon and the reverse maps, set at construction, hold on a
+    codec however it was made, and a replaced field rebuilds them."""
+
+    @staticmethod
+    def check(codec):
+        assert codec.halt_state == "1" * codec.state_len
+        for name, bits in codec.symbol_write.items():
+            assert codec.symbol_name(bits) == name
+        for name, bits in codec.state_write.items():
+            assert codec.state_name(bits) == name
+        assert codec.symbol_name(codec.halt_state) is None
+        assert codec.state_name(codec.halt_state) is None
+
+    def test_every_way_of_making_a_codec(self):
+        direct = Codec(symbol_len=4, state_len=3, symbol_write={"a": "0011", "b": "1100"},
+                       state_write={"p": "001", "q": "110"})
+        for codec in (direct, dataclasses.replace(direct),
+                      pickle.loads(pickle.dumps(direct)), copy.deepcopy(direct)):
+            assert codec == direct
+            self.check(codec)
+        wider = dataclasses.replace(direct, state_len=4,
+                                    state_write={"p": "0011", "q": "0101"})
+        self.check(wider)
+        assert (wider.halt_state, wider.state_name("001")) == ("1111", None)
+        assert direct.state_name("001") == "p"  # the original keeps its own maps
+
+    def test_built_codecs(self, utm):
+        self.check(build_codec(utm, parse_codec_overrides(UTM55_CODEC_TEXT)))
+        self.check(build_codec(random_total_machine(random.Random(5), 5, 4)))
 
 
 def reference_build_codec(spec, overrides=None):

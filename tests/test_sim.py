@@ -4,6 +4,7 @@ import gc
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -11,10 +12,12 @@ import codonmachine.sim as sim_module
 from codonmachine import (
     Arrival,
     CompileMode,
+    EncodedTape,
     NondeterminismFault,
     Outcome,
     Side,
     SimInstance,
+    TapeError,
     TraceEvent,
     apply_trna,
     build_codec,
@@ -32,8 +35,15 @@ from codonmachine import (
     validate,
 )
 
-from conftest import ADDER_TRACE_LINES, ONE_RULE_WALKER, random_total_machine, walker_text
-from test_bisim_reference import _corrupt
+from conftest import (
+    ADDER_TRACE_LINES,
+    ONE_RULE_WALKER,
+    random_partial_machine,
+    random_total_machine,
+    walker_text,
+)
+from test_bisim_reference import _corrupt, _overridden_codec
+from test_tape import TupleTape
 
 BOTH = frozenset({Side.STATE_ON_LEFT, Side.STATE_ON_RIGHT})
 
@@ -351,6 +361,12 @@ class TestValueSemantics:
                      pickle.loads(pickle.dumps(stepped)), copy.deepcopy(stepped)):
             assert step(twin) == step(stepped)
 
+    def test_copied_index_matches_through_its_own_rows(self, adder_sim):
+        window = adder_sim.tape.window_triple()
+        for twin in (pickle.loads(pickle.dumps(adder_sim)), copy.deepcopy(adder_sim)):
+            assert twin.index is not adder_sim.index and twin.index.trnas is twin.trnas
+            assert twin.index.match(window)[1] is twin.trnas[0]
+
     def test_successors_share_the_index(self, adder_sim, adder_trnas):
         stepped, _ = step(adder_sim)
         *_, (halted, _) = iter_run(adder_sim)
@@ -539,3 +555,137 @@ def test_window_index_matches_the_reference(tamper):
         assert clashing
     elif tamper in ("none", "same-id twin", "dropped side", "write"):
         assert not clashing
+
+
+# --- the step chain against a plain reference --------------------------------
+
+
+def reference_match(index, window):
+    """The lookup written out: the first row in scan order, then the clash check."""
+    found = index.rows.get(window)
+    if index.clashes and window in index.clashes:
+        raise NondeterminismFault(f"rules {index.clashes[window]} all match window {window}")
+    return found
+
+
+def reference_apply(trna, sim):
+    """The step on ``test_tape.py``'s whole-strand model: grow the edge the
+    move would pass, write and move, then build the tape from the fields."""
+    tape, shift = sim.tape, -1 if trna.hole else 1
+    model = TupleTape(tape.fields, tape.window, tape.origin)
+    if model.window + shift < 0:
+        model = model.grow("left", sim.default_codon)
+    elif model.window + shift == model.cell_count:
+        model = model.grow("right", sim.default_codon)
+    model = model.write(trna.write, shift)
+    return dataclasses.replace(sim, tape=EncodedTape(model.fields, model.window, model.origin),
+                               step_count=sim.step_count + 1)
+
+
+def reference_step(sim, arrival):
+    if sim.halted:
+        raise ValueError("machine already halted")
+    found = reference_match(sim.index, sim.tape.window_triple())
+    if found is None:
+        return dataclasses.replace(sim, halted=True), None
+    scan_index, trna, side = found
+    if arrival is Arrival.DETERMINISTIC:
+        trials = scan_index + 1
+    else:
+        trials = sim_module._stochastic_trials(sim)
+    after = reference_apply(trna, sim)
+    after = dataclasses.replace(after, trial_count=after.trial_count + trials)
+    return after, TraceEvent(after.step_count, trna.rule_id, side, trials)
+
+
+def reference_iter_run(sim, arrival, max_steps):
+    if sim.halted:
+        yield sim, None
+    while not sim.halted:
+        if sim.step_count >= max_steps and reference_match(sim.index, sim.tape.window_triple()):
+            return
+        sim, event = reference_step(sim, arrival)
+        yield sim, event
+
+
+def _outputs(pairs):
+    """Each yielded pair, then the error that ended the run, if any."""
+    out = []
+    try:
+        for pair in pairs:
+            out.append(pair)
+    except (NondeterminismFault, TapeError) as e:
+        out.append((type(e), str(e)))
+    return out
+
+
+def assert_same_run(sim, arrival, budget):
+    """iter_run and the reference yield equal pairs, field by field, and end
+    with the same error, if any; returns what iter_run gave."""
+    got = _outputs(iter_run(sim, arrival, budget))
+    want = _outputs(reference_iter_run(sim, arrival, budget))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b
+        if isinstance(a[0], SimInstance):
+            assert vars(a[0]) == vars(b[0])
+            assert a[1] is None is b[1] or vars(a[1]) == vars(b[1])
+            ta, tb = a[0].tape, b[0].tape
+            assert (ta.fields, ta.window, ta.origin) == (tb.fields, tb.window, tb.origin)
+    return got
+
+
+class TestStepChainDifferential:
+    """``iter_run``, ``step``, ``apply_trna``, the index lookup and
+    ``EncodedTape.write`` against the plain versions above, the tape through
+    ``test_tape.py``'s whole-strand model: every yielded instance and event,
+    and every error, on seeded machines."""
+
+    def test_seeded_runs(self):
+        rng = random.Random(2222)
+        grew = {"left": 0, "right": 0, "both": 0}
+        stochastic = 0
+        for case in range(160):
+            make = random_total_machine if case % 2 else random_partial_machine
+            spec = make(rng)
+            if validate(spec):
+                continue
+            codec = _overridden_codec(rng, spec) if rng.random() < 0.5 else build_codec(spec)
+            trnas = compile_ruleset(spec, codec, rng.choice(list(CompileMode)))
+            if trnas and rng.random() < 0.2:
+                trnas = _corrupt(rng, codec, trnas)
+            arrival = rng.choice(list(Arrival))
+            stochastic += arrival is Arrival.STOCHASTIC
+            sim = new_sim(spec, codec, rng_seed=rng.randrange(100), trnas=trnas)
+            last, _ = assert_same_run(sim, arrival, rng.choice([1, 2, 10, 50, 300]))[-1]
+            if isinstance(last, SimInstance):
+                left = last.tape.origin < 0
+                right = last.tape.origin + last.tape.cell_count > len(spec.tape)
+                grew["left"] += left
+                grew["right"] += right
+                grew["both"] += left and right
+        assert all(grew.values()) and stochastic, (grew, stochastic)
+
+    def test_clashes_raise_at_the_same_step(self):
+        """A second rule on the rows of a rule that fires: the fault comes at
+        that rule's first step, or at the budget check just before it."""
+        rng = random.Random(3333)
+        ends = Counter()
+        while min(ends["step"], ends["budget"]) < 15:
+            spec = random_total_machine(rng)
+            if validate(spec):
+                continue
+            codec = build_codec(spec)
+            trnas = compile_ruleset(spec, codec, rng.choice(list(CompileMode)))
+            _, trace, _ = run(new_sim(spec, codec, trnas=trnas), 300)
+            if not trace:
+                continue
+            rule_id = rng.choice(trace).rule_id
+            first = next(i for i, e in enumerate(trace) if e.rule_id == rule_id)
+            t = next(t for t in trnas if t.rule_id == rule_id)
+            twin = dataclasses.replace(t, rule_id=len(trnas) + 1)
+            sim = new_sim(spec, codec, rng_seed=5, trnas=[*trnas, twin])
+            budget = first if first and rng.random() < 0.5 else 300
+            out = assert_same_run(sim, rng.choice(list(Arrival)), budget)
+            assert out[-1][0] is NondeterminismFault and len(out) == first + 1, out[-1]
+            ends["budget" if budget == first else "step"] += 1

@@ -357,6 +357,21 @@ class TestZipperAgainstTuples:
             with pytest.raises(TapeError, match="off the strand"):
                 moved = tape.write(row, shift)
             assert moved is None and tape == EncodedTape(fields, window)
+        # each edge as built and as reached by a move, with a stack entry
+        # beside the window: a bad shift is named first, then the edge
+        built = [EncodedTape(fields, 0), EncodedTape(fields, 1)]
+        for tape in [*built, built[1].write(row, -1), built[0].write(row, 1)]:
+            for shift in (0, 2, -2):
+                with pytest.raises(TapeError) as bad:
+                    tape.write(row, shift)
+                assert str(bad.value) == f"shift must be -1 or 1, got {shift!r}"
+            for shift in (1, True) if tape.window else (-1,):
+                with pytest.raises(TapeError) as bad:
+                    tape.write(row, shift)
+                assert str(bad.value) == (f"window {tape.window + shift} would be off the "
+                                          "strand of 2 cells: grow first")
+            if not tape.window:
+                assert tape.write(row, True) == tape.write(row, 1)
         for window in (-1, 2):
             with pytest.raises(TapeError, match="off the strand"):
                 EncodedTape(fields, window)

@@ -16,7 +16,9 @@ cache on one side only moves ``setup_s`` about 2x and ``peak_rss_mb`` by
 workload, seed, pair, side and exit code with the last lines of that run's
 stderr, removes the worktrees and exits 1.
 
-The JSON written to ``--out`` holds, per workload and seed, every run's
+The JSON written to ``--out`` names both commits and the git tree of each
+one's ``src/``, so the timed code can be matched to a later commit by
+``git rev-parse <commit>:src``. It holds, per workload and seed, every run's
 metrics and, per end-to-end metric of ``BENCHMARK.json``: each side's median
 and quartiles, the change/parent ratio of the medians, the pairs the change
 won (ties count for neither side) and a verdict, the first of these that
@@ -39,10 +41,13 @@ both directions; utm55's parse, codec, ``compile_ruleset``, ``WindowIndex``,
 ``new_sim``, ``run``, ``bisimulate`` and the classical ``tm_run`` in
 microseconds, ``new_sim`` over ``run``, and the lockstep check's
 microseconds per step, ``bisimulate`` less ``new_sim`` and ``run`` over the
-run's steps, as a median of rounds that time the three back to back; the
-parity FSM's ``fsm_run`` and ``fsm_oracle`` over the same symbols and their
-ratio; and an 8-step ``bisimulate`` at the growing edge of all-0 tapes, in
-milliseconds. Each timed figure is a median of repeated calls.
+run's steps, as a median of rounds that time the three back to back; BB(5)
+``run`` microseconds per step over the first 20,000 steps of
+``tests/golden/bb5.spec``, the mechanical chain alone on a tape that grows on
+both sides; the parity FSM's ``fsm_run`` and ``fsm_oracle`` over the same
+symbols and their ratio; and an 8-step ``bisimulate`` at the growing edge of
+all-0 tapes, in milliseconds. Each timed figure is a median of repeated
+calls.
 """
 
 from __future__ import annotations
@@ -65,11 +70,12 @@ CLAIM_SHARE = 0.9
 STDERR_LINES = 20  # of a failed benchmark run, printed before the pair run stops
 
 # --probe sizes: walker run lengths, tape cells for the 8-step bisimulate,
-# parity input symbols, and calls per median (40 times as many for utm55 and
-# the 8-step bisimulate, which take a millisecond or less)
+# BB(5) run steps, parity input symbols, and calls per median (40 times as
+# many for utm55 and the 8-step bisimulate, which take a millisecond or less)
 WALKER_STEPS = (1_000, 4_000, 16_000)
 BISIM_CELLS = (1_000, 8_000)
 BISIM_STEPS = 8
+BB5_STEPS = 20_000
 PARITY_SYMBOLS = 100_000
 REPEATS = 5
 
@@ -256,6 +262,10 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
     check_us = 1e6 / steps * _median_check_s(
         phases["new_sim"], phases["run"], phases["bisimulate"], 40 * repeats)
 
+    bb5 = cm.parse_machine_spec((ROOT / "tests/golden/bb5.spec").read_text(encoding="utf-8"))
+    bb5_sim = cm.new_sim(bb5, cm.build_codec(bb5))
+    bb5_us = 1e6 / BB5_STEPS * _median_s(lambda: cm.run(bb5_sim, BB5_STEPS), repeats)
+
     fsm = cm.parse_fsm_spec(cm.corpus_spec_text("parity"))
     fsm_codec = cm.build_codec(fsm)
     symbols = random.Random(1).choices("01", k=parity_symbols)
@@ -267,6 +277,7 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
         "utm55_us": utm55,
         "utm55_new_sim_over_run": utm55["new_sim"] / utm55["run"],
         "utm55_check_us_per_step": check_us,
+        "bb5_run_us_per_step": bb5_us,
         "parity": {"fsm_run_ms": 1e3 * run_s, "fsm_oracle_ms": 1e3 * oracle_s,
                    "ratio": run_s / oracle_s},
         f"bisimulate_{BISIM_STEPS}_steps_ms": bisim,
@@ -293,6 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
+    src_trees = {side: _git("rev-parse", f"{rev}:src") for side, rev in revs.items()}
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in revs}
         try:
@@ -305,8 +317,8 @@ def main(argv: list[str] | None = None) -> int:
                 if path.exists():
                     _git("worktree", "remove", "--force", str(path))
             _git("worktree", "prune")
-    report = {"parent": revs["parent"], "change": revs["change"], "pairs": PAIRS,
-              "seconds": spec["run_seconds"],
+    report = {"parent": revs["parent"], "change": revs["change"], "src_tree": src_trees,
+              "pairs": PAIRS, "seconds": spec["run_seconds"],
               "bytecode": "none (PYTHONDONTWRITEBYTECODE=1, fresh worktrees)",
               "results": results}
     args.out.write_text(json.dumps(report, indent=1, ensure_ascii=False) + "\n",
