@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .codec import Codec, build_codec
 from .machine import MachineSpec, Move
 from .sim import DEFAULT_MAX_STEPS, Arrival, Outcome, iter_run, new_sim
-from .tape import DecodedConfig, EncodedTape, decode_tape
+from .tape import DecodedConfig, EncodedTape, cell_row, decode_tape
 from .trna import CompileMode, Trna
 
 
@@ -228,9 +228,12 @@ def _initial_divergence(
         and window == cfg.head
         and slots[window] == codec.state_write.get(cfg.state)
         and len(slots) - slots.count(codec.halt_state) == 1
-        and tape.symbol_cells == tuple(map(codec.symbol_write.get, spec.tape))
     ):
-        return None
+        try:
+            if tape.symbol_cells == cell_row(codec, spec.tape):
+                return None
+        except KeyError:  # a spec symbol with no codon: decoded below
+            pass
     return _divergence(spec, 0, decode_tape(tape, codec), cfg)
 
 

@@ -9,10 +9,11 @@ symbol cell the machine will read next; its triple is fields 2w to 2w+2.
 with a classical run. Only this module indexes the strand.
 
 The strand is stored as a persistent zipper: the window triple, two stacks of
-one entry per cell, ``(near, far, rest)``, holding the fields left and right
-of the window, nearest first, and the tuple the tape was built from, for the
-fields no move has reached yet. Tapes never change, and each one shares all
-but a few fields with the tape it was made from.
+one entry per cell, ``(cell, slot, rest)``, holding the cells and slots left
+and right of the window, nearest first, and the two rows the tape was built
+from, its n cells and its n+1 slots, for the cells no move has reached yet.
+Tapes never change, and each one shares all but a few fields with the tape it
+was made from.
 
 The window is always on the strand, 0 <= window < cell_count, and the tape
 is edited only there: ``write`` rewrites the window and moves it one cell,
@@ -23,9 +24,12 @@ grows that edge first. Costs, for a tape of n cells:
 
 * O(1): ``write``, ``grow``, ``window_triple``, ``window``, ``origin``,
   ``cell_count``, ``window_abs``, and ``triple_at`` for the window and a
-  neighbour a move has reached;
-* O(n) once per tape, then cached: ``fields``; ``state_slots``,
-  ``symbol_cells``, ``render``, equality, hashing and ``triple_at``
+  neighbour a move has reached; ``symbol_cells`` and ``state_slots`` of a
+  tape no move has made, which are its rows;
+* O(n) per call: ``symbol_cells`` and ``state_slots`` of any other tape, each
+  spliced from its own row and the stacks;
+* O(n) once per tape, then cached: ``fields``, the two views interleaved;
+  ``render``, equality, hashing, ``repr``, pickling and ``triple_at``
   elsewhere read it.
 
 Rendered form: all fields joined with underscores, e.g.
@@ -35,7 +39,7 @@ Rendered form: all fields joined with underscores, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Literal
 
 from .codec import Codec
@@ -51,10 +55,11 @@ class EncodedTape:
     window and origin, whatever history built it. Its window is a cell of
     the strand: ``0 <= window < cell_count``.
 
-    ``_zipper`` is (triple, left, right, base, lb, rb). Left of the window lie
-    ``base[:lb]`` and then the left stack; right of it, the right stack and
-    then ``base[rb:]``. Each stack entry holds one cell and its slot, nearer
-    field first.
+    ``_zipper`` is (triple, left, right, rows, k, m), where ``rows`` is
+    (cells, slots) and ``k`` and ``m`` are cell indices. Left of the window
+    lie ``cells[:k]`` and ``slots[:k]``, then the left stack; right of it,
+    the right stack, then ``cells[m:]`` and ``slots[m + 1:]``. Each stack
+    entry holds one cell and the slot beyond it, ``(cell, slot, rest)``.
     """
 
     __slots__ = ("_window", "_origin", "_cells", "_zipper", "_fields")
@@ -63,12 +68,7 @@ class EncodedTape:
         fields = tuple(fields)
         if len(fields) % 2 == 0:
             raise TapeError(f"{len(fields)} fields cannot frame cells between slots")
-        cells, w = len(fields) // 2, 2 * window
-        if not 0 <= window < cells:
-            raise TapeError(f"window {window} is off the strand of {cells} cells")
-        self._fields = fields
-        self._window, self._origin, self._cells = window, origin, cells
-        self._zipper = (fields[w : w + 3], None, None, fields, w, w + 3)
+        _root(self, fields[1::2], fields[0::2], window, origin)
 
     def __reduce__(self):  # by value: the stacks may nest too deep to recurse
         return EncodedTape, (self.fields, self.window, self.origin)
@@ -96,18 +96,27 @@ class EncodedTape:
             return self._fields
         except AttributeError:
             pass
-        triple, left, right, base, lb, rb = self._zipper
-        fields = base[:lb] + _unstack(left)[::-1] + triple + _unstack(right) + base[rb:]
-        self._fields = fields
+        fields = [None] * (2 * self._cells + 1)
+        fields[0::2], fields[1::2] = self.state_slots, self.symbol_cells
+        fields = self._fields = tuple(fields)
         return fields
 
     @property
-    def state_slots(self) -> tuple[str, ...]:
-        return self.fields[0::2]
+    def symbol_cells(self) -> tuple[str, ...]:
+        triple, left, right, (cells, _), k, m = self._zipper
+        if left is None and right is None:
+            return cells
+        (left_cells, _), (right_cells, _) = _unstack(left), _unstack(right)
+        return cells[:k] + (*reversed(left_cells), triple[1], *right_cells) + cells[m:]
 
     @property
-    def symbol_cells(self) -> tuple[str, ...]:
-        return self.fields[1::2]
+    def state_slots(self) -> tuple[str, ...]:
+        triple, left, right, (_, slots), k, m = self._zipper
+        if left is None and right is None:
+            return slots
+        (_, left_slots), (_, right_slots) = _unstack(left), _unstack(right)
+        return (slots[:k] + (*reversed(left_slots), triple[0], triple[2], *right_slots)
+                + slots[m + 1 :])
 
     @property
     def window_abs(self) -> int:
@@ -143,14 +152,14 @@ class EncodedTape:
         TapeError. A move past either end needs ``grow`` there first."""
         slot, cell, next_slot = row
         cells = self._cells
-        _, left, right, base, lb, rb = self._zipper
+        _, left, right, rows, k, m = self._zipper
         if shift == 1:
             w = self._window + 1
             if w == cells:
                 raise _off_strand(w, cells)
             left = (cell, slot, left)
             if right is None:
-                triple, rb = (next_slot, base[rb], base[rb + 1]), rb + 2
+                triple, m = (next_slot, rows[0][m], rows[1][m + 1]), m + 1
             else:
                 near, far, right = right
                 triple = (next_slot, near, far)
@@ -160,26 +169,41 @@ class EncodedTape:
                 raise _off_strand(w, cells)
             right = (cell, next_slot, right)
             if left is None:
-                triple, lb = (base[lb - 2], base[lb - 1], slot), lb - 2
+                triple, k = (rows[1][k - 1], rows[0][k - 1], slot), k - 1
             else:
                 near, far, left = left
                 triple = (far, near, slot)
         else:
             raise TapeError(f"shift must be -1 or 1, got {shift!r}")
-        return _zipped(w, self._origin, cells, (triple, left, right, base, lb, rb))
+        return _zipped(w, self._origin, cells, (triple, left, right, rows, k, m))
 
 
 def _off_strand(window: int, cells: int) -> TapeError:
     return TapeError(f"window {window} would be off the strand of {cells} cells: grow first")
 
 
-def _unstack(stack) -> tuple[str, ...]:
-    """The fields of a stack of ``(near, far, rest)`` entries, top first."""
-    fields = []
+def _unstack(stack) -> tuple[list[str], list[str]]:
+    """The cells and the slots of a stack of ``(cell, slot, rest)`` entries,
+    top first."""
+    cells, slots = [], []
     while stack is not None:
-        near, far, stack = stack
-        fields += (near, far)
-    return tuple(fields)
+        cell, slot, stack = stack
+        cells.append(cell)
+        slots.append(slot)
+    return cells, slots
+
+
+def _root(tape: EncodedTape, cells: tuple[str, ...], slots: tuple[str, ...], window: int,
+          origin: int) -> EncodedTape:
+    """Set up ``tape`` as the strand of the rows ``cells`` and ``slots`` before
+    any move: both stacks empty, the window read from the rows."""
+    n = len(cells)
+    if not 0 <= window < n:
+        raise TapeError(f"window {window} is off the strand of {n} cells")
+    tape._window, tape._origin, tape._cells = window, origin, n
+    triple = (slots[window], cells[window], slots[window + 1])
+    tape._zipper = (triple, None, None, (cells, slots), window, window + 1)
+    return tape
 
 
 def _zipped(window: int, origin: int, cells: int, zipper: tuple) -> EncodedTape:
@@ -202,21 +226,28 @@ class DecodedConfig:
         return None if self.head is None else self.origin + self.head
 
 
+def cell_row(codec: Codec, symbols: tuple[str, ...]) -> tuple[str, ...]:
+    """The write codon of each symbol, looked up in one C call; a symbol with
+    no codon raises KeyError naming it."""
+    if len(symbols) > 1:
+        return itemgetter(*symbols)(codec.symbol_write)
+    return tuple(map(codec.symbol_write.__getitem__, symbols))  # itemgetter of one key is bare
+
+
 def encode_tape(spec: MachineSpec, codec: Codec) -> EncodedTape:
     """Translate a machine's tape: write codons per cell, halt codons in every
     slot except the one left of the head, which holds the initial state."""
     if not spec.tape:
         raise TapeError("cannot encode an empty tape: no head cell")
     try:
-        cells = list(map(codec.symbol_write.__getitem__, spec.tape))
+        cells = cell_row(codec, spec.tape)
     except KeyError as e:
         raise TapeError(f"tape symbol {e.args[0]!r} has no codon") from None
     if spec.initial_state not in codec.state_write:
         raise TapeError(f"initial state {spec.initial_state!r} has no codon")
-    fields = [codec.halt_state] * (2 * len(cells) + 1)
-    fields[1::2] = cells
-    fields[2 * spec.head] = codec.state_write[spec.initial_state]
-    return EncodedTape(tuple(fields), window=spec.head, origin=0)
+    slots = [codec.halt_state] * (len(cells) + 1)
+    slots[spec.head] = codec.state_write[spec.initial_state]
+    return _root(object.__new__(EncodedTape), cells, tuple(slots), spec.head, 0)
 
 
 def grow(tape: EncodedTape, side: Literal["left", "right"], default_codon: str) -> EncodedTape:
@@ -224,17 +255,17 @@ def grow(tape: EncodedTape, side: Literal["left", "right"], default_codon: str) 
     halt slot, in O(1): that side's stack is empty, and the new cell becomes
     its only entry. Growing an edge the window is not on raises TapeError."""
     w, cells, origin = tape._window, tape._cells, tape._origin
-    triple, left, right, base, lb, rb = tape._zipper
+    triple, left, right, rows, k, m = tape._zipper
     halt = "1" * len(triple[0])
-    entry = (default_codon, halt, None)  # a stack of the new cell alone, nearer field first
+    entry = (default_codon, halt, None)  # a stack of the new cell alone
     if side == "right":
         if w != cells - 1:
             raise TapeError(f"window {w} is not on the right edge of {cells} cells")
-        return _zipped(w, origin, cells + 1, (triple, left, entry, base, lb, rb))
+        return _zipped(w, origin, cells + 1, (triple, left, entry, rows, k, m))
     if side == "left":
         if w != 0:
             raise TapeError(f"window {w} is not on the left edge of {cells} cells")
-        return _zipped(1, origin - 1, cells + 1, (triple, entry, right, base, lb, rb))
+        return _zipped(1, origin - 1, cells + 1, (triple, entry, right, rows, k, m))
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -250,8 +281,9 @@ def decode_tape(tape: EncodedTape, codec: Codec) -> DecodedConfig:
     and its smoke test requires at least one per decoded cell.
     """
     cells = tape.symbol_cells
-    symbols = tuple(map(codec.symbol_name, cells))
-    if None in symbols:
+    name = codec.symbol_name  # called inline, not from C as map would: faster on 3.11
+    symbols = tuple([name(cell) for cell in cells])
+    if not all(symbols) and None in symbols:
         i = symbols.index(None)
         raise TapeError(f"cell {i}: {cells[i]} decodes to no known symbol")
     halt, slots, w = codec.halt_state, tape.state_slots, tape.window

@@ -123,14 +123,15 @@ def test_probe_reports_every_figure():
     report = bench_pairs.probe(walker_steps=(10, 20), bisim_cells=(8, 16),
                                parity_symbols=50, repeats=1)
     sides = {"right", "left"}
+    cell_figures = ("bisimulate_8_steps_ms", "encode_tape_ms", "decode_tape_after_8_steps_ms")
     assert set(report) == {"python", "walker_run_us_per_step", "utm55_us",
                            "utm55_new_sim_over_run", "utm55_check_us_per_step",
-                           "bb5_run_us_per_step", "parity", "bisimulate_8_steps_ms"}
+                           "bb5_run_us_per_step", "parity", *cell_figures}
     assert set(report["walker_run_us_per_step"]) == sides
-    assert set(report["bisimulate_8_steps_ms"]) == sides
     for side in sides:
         assert set(report["walker_run_us_per_step"][side]) == {"10", "20"}
-        assert set(report["bisimulate_8_steps_ms"][side]) == {"8", "16"}
+        for name in cell_figures:
+            assert set(report[name][side]) == {"8", "16"}
     assert set(report["utm55_us"]) == {"parse", "codec", "compile", "index", "new_sim", "run",
                                        "bisimulate", "tm_run"}
     utm55 = report["utm55_us"]
@@ -141,8 +142,9 @@ def test_probe_reports_every_figure():
     figures = [*report["utm55_us"].values(), *report["parity"].values(),
                report["bb5_run_us_per_step"]]
     for side in sides:
-        figures += [*report["walker_run_us_per_step"][side].values(),
-                    *report["bisimulate_8_steps_ms"][side].values()]
+        figures += report["walker_run_us_per_step"][side].values()
+        for name in cell_figures:
+            figures += report[name][side].values()
     assert all(f > 0 for f in figures)
 
 

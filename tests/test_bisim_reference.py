@@ -448,6 +448,92 @@ def test_base_case_falls_back_to_the_whole_tape_compare(corpus, monkeypatch, nam
             assert verdict == ref
 
 
+def reference_initial_divergence(spec, codec, tape, cfg):
+    """Test-local reference: the base case as it was when the strand was one
+    interleaved tuple, its rows sliced from ``fields`` and the spec's codons
+    mapped cell by cell."""
+    slots, window = tape.fields[0::2], tape.window
+    if (
+        tape.origin == 0
+        and window == cfg.head
+        and slots[window] == codec.state_write.get(cfg.state)
+        and len(slots) - slots.count(codec.halt_state) == 1
+        and tape.fields[1::2] == tuple(map(codec.symbol_write.get, spec.tape))
+    ):
+        return None
+    return _divergence(spec, 0, decode_tape(tape, codec), cfg)
+
+
+BASE_TAMPERS = ["none", "cell", "unnamed cell", "live codon", "live slot", "origin",
+                "missing symbol"]
+
+
+def _base_case(rng, spec, codec, tamper):
+    """Arguments for the base case: a spec's encoded tape and initial
+    configuration, one thing changed as ``tamper`` names. A cell or the live
+    codon changes by encoding another spec from its rows (possibly to the
+    same symbol or state); a live slot, an unnamed cell and the origin by
+    editing the strand's fields; a missing symbol by naming one in the spec
+    that the codec lacks. Half the unedited strands are rebuilt from their
+    fields."""
+    encoded, origin = spec, 0
+    if tamper == "cell":
+        cells = list(spec.tape)
+        cells[rng.randrange(len(cells))] = rng.choice(spec.symbols)
+        encoded = dataclasses.replace(spec, tape=tuple(cells))
+    elif tamper == "live codon":
+        encoded = dataclasses.replace(spec, initial_state=rng.choice(spec.states))
+    elif tamper == "missing symbol":
+        cells = list(spec.tape)
+        cells[rng.randrange(len(cells))] = "?"
+        spec = dataclasses.replace(spec, symbols=(*spec.symbols, "?"), tape=tuple(cells))
+    tape = sim_module.encode_tape(encoded, codec)
+    fields, window = list(tape.fields), tape.window
+    if tamper == "live slot":  # to another slot, or halted where it stands
+        other, live = rng.randrange(len(fields) // 2 + 1), fields[2 * window]
+        fields[2 * window] = codec.halt_state
+        if other != window:
+            fields[2 * other] = live
+    elif tamper == "unnamed cell":
+        fields[2 * rng.randrange(len(spec.tape)) + 1] = "1" * codec.symbol_len
+    elif tamper == "origin":
+        origin = rng.choice([-1, 1])
+    if tamper in ("live slot", "unnamed cell", "origin") or rng.random() < 0.5:
+        tape = EncodedTape(tuple(fields), window, origin)
+    cfg = initial_config(spec) if rng.random() < 0.5 else oracle._start(spec)
+    return spec, codec, tape, cfg
+
+
+@pytest.mark.parametrize("tamper", BASE_TAMPERS)
+def test_base_case_matches_the_interleaved_reference(corpus, tamper):
+    """The base case reaches the reference's verdict, or raises its
+    ``TapeError``, on the corpus and on seeded specs with least and
+    overridden codecs, one-cell tapes among them. An untampered tape passes;
+    a tampered one passes only where the change left the configuration
+    equal (a live slot or cell codon rewritten to itself)."""
+    rng = random.Random(2323)
+    cases = [(corpus[name], codec) for name in ("unary_adder", "incrementer", "utm55")
+             for codec in (corpus_codec(name), build_codec(corpus[name]))]
+    while len(cases) < 150:
+        spec = random_partial_machine(rng)
+        if len(cases) % 3 == 0:
+            spec = dataclasses.replace(spec, tape=spec.tape[:1], head=0)
+        if validate(spec):
+            continue
+        cases.append((spec, build_codec(spec) if rng.random() < 0.5
+                      else _overridden_codec(rng, spec)))
+    verdicts = Counter()
+    for spec, codec in cases:
+        args = _base_case(rng, spec, codec, tamper)
+        got = _outcome(lambda: oracle._initial_divergence(*args))
+        assert got == _outcome(lambda: reference_initial_divergence(*args)), args
+        verdicts["passed" if got is None else "raised" if isinstance(got, str) else "diverged"] += 1
+    if tamper == "none":
+        assert verdicts == {"passed": 150}
+    else:
+        assert verdicts["diverged"] + verdicts["raised"] > 0, verdicts
+
+
 def _walker(tape="00"):
     spec = parse_machine_spec(ONE_RULE_WALKER.replace("tape: 00", f"tape: {tape}"))
     codec = build_codec(spec)

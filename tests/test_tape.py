@@ -1,22 +1,28 @@
 import copy
+import dataclasses
 import pickle
 import random
 
 import pytest
 
 from codonmachine import (
+    Codec,
     EncodedTape,
     MachineSpec,
     TapeError,
+    bisimulate,
     build_codec,
     corpus_codec,
     decode_tape,
     encode_tape,
     grow,
+    new_sim,
+    parse_machine_spec,
+    run,
     validate,
 )
 
-from conftest import ADDER_TRACE_LINES, random_partial_machine
+from conftest import ADDER_TRACE_LINES, random_partial_machine, walker_text
 
 
 class TestEncode:
@@ -42,6 +48,16 @@ class TestEncode:
         assert rendered == (
             "111111_010011_111111_010011_000111_001011_111111_001011_111111_001011_111111"
         )
+
+    def test_one_cell_tape_is_its_interleaved_fields(self, adder, adder_codec):
+        # a one-cell tape's cell row is a tuple, as every other tape's is
+        spec = dataclasses.replace(adder, tape=("1",), head=0)
+        tape = encode_tape(spec, adder_codec)
+        fields = (adder_codec.state_write["q1"], adder_codec.symbol_write["1"],
+                  adder_codec.halt_state)
+        assert (tape.symbol_cells, tape.state_slots) == (fields[1:2], fields[0::2])
+        assert tape == EncodedTape(fields, 0)
+        assert tape.render() == "_".join(fields)
 
     def test_exactly_one_live_slot(self, corpus, utm_codec, adder_codec):
         for name, codec in (("unary_adder", adder_codec), ("utm55", utm_codec)):
@@ -223,6 +239,60 @@ class TestDecode:
             EncodedTape(fields=("111", "01"), window=0)
 
 
+def count_symbol_names(monkeypatch) -> list[str]:
+    """Wrap ``Codec.symbol_name`` as perfbench does; the list fills with the
+    codon of every call."""
+    calls, name = [], Codec.symbol_name
+
+    def counted(codec, codon):
+        calls.append(codon)
+        return name(codec, codon)
+
+    monkeypatch.setattr(Codec, "symbol_name", counted)
+    return calls
+
+
+class TestSymbolNameLookups:
+    """The contract perfbench counts by: one ``Codec.symbol_name`` call per
+    decoded cell, and a passing lockstep proof decodes one tape, its last."""
+
+    @pytest.mark.parametrize("move", ["R", "L"])
+    def test_decode_names_each_cell_once(self, monkeypatch, move):
+        spec = parse_machine_spec(walker_text(1000, move))
+        codec = build_codec(spec)
+        final, _, _ = run(new_sim(spec, codec), 8)
+        assert final.tape.cell_count == 1008
+        calls = count_symbol_names(monkeypatch)
+        decoded = decode_tape(final.tape, codec)
+        assert len(calls) == final.tape.cell_count
+        assert calls == list(final.tape.symbol_cells)
+        # eight cells written 1 behind the head, which stands on a grown 0
+        walked = "0" + "1" * 8 + "0" * 999
+        assert "".join(decoded.symbols) == (walked if move == "L" else walked[::-1])
+
+    @pytest.mark.parametrize("move", ["R", "L"])
+    def test_a_passing_proof_names_one_tape(self, monkeypatch, move):
+        spec = parse_machine_spec(walker_text(1000, move))
+        codec = build_codec(spec)
+        calls = count_symbol_names(monkeypatch)
+        verdict = bisimulate(spec, codec, max_steps=8)
+        assert (verdict.passed, verdict.steps) == (True, 8)
+        final, _, _ = run(new_sim(spec, codec), 8)
+        assert len(calls) == final.tape.cell_count
+        assert calls == list(final.tape.symbol_cells)
+
+    def test_unnamed_cells_and_falsy_names(self, monkeypatch):
+        calls = count_symbol_names(monkeypatch)
+        fields = ("001", "01", "111", "00", "111", "11", "111")
+        with pytest.raises(TapeError, match="^cell 1: 00 decodes to no known symbol$"):
+            decode_tape(EncodedTape(fields, 0), corpus_codec("unary_adder"))
+        assert calls == ["01", "00", "11"]
+        # an empty name is falsy but a name: it decodes
+        codec = Codec(2, 3, {"": "01", "1": "10"}, {"q": "001"})
+        decoded = decode_tape(EncodedTape(("111", "10", "001", "01", "111"), 1), codec)
+        assert (decoded.symbols, decoded.state, decoded.head) == (("1", ""), "q", 1)
+
+
 class TestRoundTrip:
     def test_corpus_round_trip(self, corpus):
         for name in ("incrementer", "unary_adder", "utm55"):
@@ -274,9 +344,13 @@ class TupleTape:
 
 
 def assert_same_tape(tape: EncodedTape, model: TupleTape):
-    """Every read of the tape against the model, the per-position reads
-    first: the window and a neighbour a move has reached are read from the
-    zipper, any other cell from the strand that the first such read caches."""
+    """Every read of the tape against the model. The two views come first,
+    each spliced from its own row and the stacks, before anything reads
+    ``fields``; then the per-position reads: the window and a neighbour a
+    move has reached are read from the zipper, any other cell from the
+    strand that the first such read caches."""
+    assert tape.symbol_cells == model.fields[1::2]
+    assert tape.state_slots == model.fields[0::2]
     cells = model.cell_count
     positions = range(model.origin, model.origin + cells)
     assert [tape.triple_at(p) for p in positions] == [
@@ -306,7 +380,23 @@ class TestZipperAgainstTuples:
         cells = rng.randint(1, 6)
         fields = [self._codon(rng, 3 if i % 2 == 0 else 2) for i in range(2 * cells + 1)]
         window = rng.randrange(cells)
-        tape, model = EncodedTape(tuple(fields), window), TupleTape(fields, window)
+        self._edit_at_random(rng, EncodedTape(tuple(fields), window), TupleTape(fields, window))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_edit_sequences_from_an_encoded_tape(self, seed):
+        """The same edits on a tape that ``encode_tape`` built from its two
+        rows, against fields interleaved here from the spec."""
+        rng = random.Random(100 + seed)
+        spec = random_partial_machine(rng)
+        codec = build_codec(spec)
+        fields = [codec.halt_state] * (2 * len(spec.tape) + 1)
+        fields[1::2] = [codec.symbol_write[s] for s in spec.tape]
+        fields[2 * spec.head] = codec.state_write[spec.initial_state]
+        self._edit_at_random(rng, encode_tape(spec, codec), TupleTape(fields, spec.head))
+
+    def _edit_at_random(self, rng, tape, model):
+        slot_width, cell_width = len(model.fields[0]), len(model.fields[1])
+        assert_same_tape(tape, model)
         history, grown, drift = [(tape, model)], set(), 1
         for _ in range(300):
             # only the edges the window sits on can grow
@@ -315,7 +405,8 @@ class TestZipperAgainstTuples:
             if edges and rng.random() < 0.1:
                 ops = [rng.choice(edges)]
             else:
-                row = (self._codon(rng, 3), self._codon(rng, 2), self._codon(rng, 3))
+                row = (self._codon(rng, slot_width), self._codon(rng, cell_width),
+                       self._codon(rng, slot_width))
                 shift = rng.choice([drift, drift, drift, -drift])
                 ops = [(row, shift)]
                 if not 0 <= model.window + shift < model.cell_count:
@@ -326,7 +417,7 @@ class TestZipperAgainstTuples:
             for op in ops:
                 if op in ("left", "right"):
                     grown.add(op)
-                    default = self._codon(rng, 2)
+                    default = self._codon(rng, cell_width)
                     tape, model = grow(tape, op, default), model.grow(op, default)
                 else:
                     tape, model = tape.write(*op), model.write(*op)

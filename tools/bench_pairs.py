@@ -45,8 +45,10 @@ run's steps, as a median of rounds that time the three back to back; BB(5)
 ``run`` microseconds per step over the first 20,000 steps of
 ``tests/golden/bb5.spec``, the mechanical chain alone on a tape that grows on
 both sides; the parity FSM's ``fsm_run`` and ``fsm_oracle`` over the same
-symbols and their ratio; and an 8-step ``bisimulate`` at the growing edge of
-all-0 tapes, in milliseconds. Each timed figure is a median of repeated
+symbols and their ratio; and, in milliseconds, an 8-step ``bisimulate`` at
+the growing edge of all-0 tapes, with the two whole-tape ends of that proof
+on the same tapes: ``encode_tape`` of the spec, and ``decode_tape`` of the
+tape 8 steps of ``run`` leave. Each timed figure is a median of repeated
 calls.
 """
 
@@ -229,19 +231,24 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import walker_text
 
-    walker, bisim = {}, {}
+    walker, bisim, encode, decode = {}, {}, {}, {}
     for side, move in (("right", "R"), ("left", "L")):
         spec = cm.parse_machine_spec(walker_text(8, move))
         codec = cm.build_codec(spec)
         walker[side] = {str(n): 1e6 / n * _median_s(lambda: cm.run(cm.new_sim(spec, codec), n),
                                                     repeats)
                         for n in walker_steps}
-        bisim[side] = {}
+        bisim[side], encode[side], decode[side] = {}, {}, {}
         for n in bisim_cells:
             spec = cm.parse_machine_spec(walker_text(n, move))
             codec = cm.build_codec(spec)
             bisim[side][str(n)] = 1e3 * _median_s(
                 lambda: cm.bisimulate(spec, codec, max_steps=BISIM_STEPS), 40 * repeats)
+            encode[side][str(n)] = 1e3 * _median_s(
+                lambda: cm.encode_tape(spec, codec), 40 * repeats)
+            final = cm.run(cm.new_sim(spec, codec), BISIM_STEPS)[0].tape
+            decode[side][str(n)] = 1e3 * _median_s(
+                lambda: cm.decode_tape(final, codec), 40 * repeats)
 
     spec_text, codec_text = cm.corpus_spec_text("utm55"), cm.corpus_codec_text("utm55")
     spec = cm.parse_machine_spec(spec_text)
@@ -281,6 +288,8 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
         "parity": {"fsm_run_ms": 1e3 * run_s, "fsm_oracle_ms": 1e3 * oracle_s,
                    "ratio": run_s / oracle_s},
         f"bisimulate_{BISIM_STEPS}_steps_ms": bisim,
+        "encode_tape_ms": encode,
+        f"decode_tape_after_{BISIM_STEPS}_steps_ms": decode,
     }
 
 
