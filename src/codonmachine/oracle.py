@@ -129,8 +129,9 @@ def tm_run(spec: MachineSpec, max_steps: int = DEFAULT_MAX_STEPS) -> TmRunResult
     ``sim.iter_run``, a machine stuck exactly at the budget reports the halt.
     A stuck halt, like a halt rule, leaves ``config.state`` None; ``run``'s
     final tape keeps the stuck state. The touched extent (cells 0 to the
-    tape's end, and every head position) is read at the end: each step writes
-    the cell it leaves, so the writes and the final head hold every position."""
+    tape's end when it has cells, and every head position) is read at the
+    end: each step writes the cell it leaves, so the writes and the final head
+    hold every position."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     table, default, cfg, steps = _rule_table(spec), spec.default_symbol, _start(spec), 0
@@ -139,8 +140,9 @@ def tm_run(spec: MachineSpec, max_steps: int = DEFAULT_MAX_STEPS) -> TmRunResult
     if cfg.state is not None:
         _classical_step(table, default, cfg, probe=True)
     outcome = Outcome.HALTED if cfg.state is None else Outcome.STEP_LIMIT
-    lo = min(0, cfg.head, *cfg.symbols)
-    hi = max(len(spec.tape) - 1, cfg.head, *cfg.symbols)
+    ends = (0, len(spec.tape) - 1) if spec.tape else (cfg.head,)
+    lo = min(*ends, cfg.head, *cfg.symbols)
+    hi = max(*ends, cfg.head, *cfg.symbols)
     return TmRunResult(_full(cfg), steps, outcome, min_pos=lo, max_pos=hi)
 
 

@@ -36,7 +36,7 @@ from enum import Enum
 
 from .codec import Codec, read_form
 from .machine import MachineSpec
-from .tape import EncodedTape, encode_tape, grow
+from .tape import EncodedTape, TapeError, encode_tape, grow
 from .trna import CompileMode, Side, Trna, compile_ruleset
 
 Window = tuple[str, str, str]
@@ -148,11 +148,12 @@ def new_sim(
     """
     if trnas is None:
         trnas = compile_ruleset(spec, codec, mode)
+    tape = encode_tape(spec, codec)
+    default_codon = codec.symbol_write.get(spec.default_symbol)
+    if default_codon is None:
+        raise TapeError(f"default symbol {spec.default_symbol!r} has no codon")
     return SimInstance(
-        tape=encode_tape(spec, codec),
-        trnas=tuple(trnas),
-        default_codon=codec.symbol_write[spec.default_symbol],
-        rng_seed=rng_seed,
+        tape=tape, trnas=tuple(trnas), default_codon=default_codon, rng_seed=rng_seed
     )
 
 

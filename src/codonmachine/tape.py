@@ -26,11 +26,11 @@ grows that edge first. Costs, for a tape of n cells:
   ``cell_count``, ``window_abs``, and ``triple_at`` for the window and a
   neighbour a move has reached; ``symbol_cells`` and ``state_slots`` of a
   tape no move has made, which are its rows;
-* O(n) per call: ``symbol_cells`` and ``state_slots`` of any other tape, each
-  spliced from its own row and the stacks;
-* O(n) once per tape, then cached: ``fields``, the two views interleaved;
-  ``render``, equality, hashing, ``repr``, pickling and ``triple_at``
-  elsewhere read it.
+* O(n) per call, nothing cached: the rest. Both rows of a moved tape come
+  from one splice of the built rows and one walk of each stack, which
+  ``symbol_cells``, ``state_slots``, ``decode_tape``, equality, hashing and
+  ``triple_at`` elsewhere read; ``fields`` interleaves them on each read,
+  for ``render``, ``repr`` and pickling.
 
 Rendered form: all fields joined with underscores, e.g.
 ``001_01_111_10_111``.
@@ -51,9 +51,9 @@ class TapeError(ValueError):
 
 
 class EncodedTape:
-    """An immutable encoded tape, equal, hashed and printed by its fields,
-    window and origin, whatever history built it. Its window is a cell of
-    the strand: ``0 <= window < cell_count``.
+    """An immutable encoded tape, equal and hashed by its cells, slots,
+    window and origin, whatever history built it, and printed by its fields.
+    Its window is a cell of the strand: ``0 <= window < cell_count``.
 
     ``_zipper`` is (triple, left, right, rows, k, m), where ``rows`` is
     (cells, slots) and ``k`` and ``m`` are cell indices. Left of the window
@@ -62,7 +62,7 @@ class EncodedTape:
     entry holds one cell and the slot beyond it, ``(cell, slot, rest)``.
     """
 
-    __slots__ = ("_window", "_origin", "_cells", "_zipper", "_fields")
+    __slots__ = ("_window", "_origin", "_cells", "_zipper")
 
     def __init__(self, fields: tuple[str, ...], window: int, origin: int = 0):
         fields = tuple(fields)
@@ -76,10 +76,11 @@ class EncodedTape:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.fields, self.window, self.origin) == (other.fields, other.window, other.origin)
+        return ((self._rows(), self.window, self.origin)
+                == (other._rows(), other.window, other.origin))
 
     def __hash__(self):
-        return hash((self.fields, self.window, self.origin))
+        return hash((self._rows(), self.window, self.origin))
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(fields={self.fields!r}, "
@@ -92,30 +93,28 @@ class EncodedTape:
 
     @property
     def fields(self) -> tuple[str, ...]:
-        try:
-            return self._fields
-        except AttributeError:
-            pass
+        cells, slots = self._rows()
         fields = [None] * (2 * self._cells + 1)
-        fields[0::2], fields[1::2] = self.state_slots, self.symbol_cells
-        fields = self._fields = tuple(fields)
-        return fields
+        fields[0::2], fields[1::2] = slots, cells
+        return tuple(fields)
 
     @property
     def symbol_cells(self) -> tuple[str, ...]:
-        triple, left, right, (cells, _), k, m = self._zipper
-        if left is None and right is None:
-            return cells
-        (left_cells, _), (right_cells, _) = _unstack(left), _unstack(right)
-        return cells[:k] + (*reversed(left_cells), triple[1], *right_cells) + cells[m:]
+        return self._rows()[0]
 
     @property
     def state_slots(self) -> tuple[str, ...]:
-        triple, left, right, (_, slots), k, m = self._zipper
+        return self._rows()[1]
+
+    def _rows(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The n cells and n+1 slots: the built rows before any move, else both
+        spliced from those rows and one walk of each stack."""
+        triple, left, right, (cells, slots), k, m = self._zipper
         if left is None and right is None:
-            return slots
-        (_, left_slots), (_, right_slots) = _unstack(left), _unstack(right)
-        return (slots[:k] + (*reversed(left_slots), triple[0], triple[2], *right_slots)
+            return cells, slots
+        (left_cells, left_slots), (right_cells, right_slots) = _unstack(left), _unstack(right)
+        return (cells[:k] + (*reversed(left_cells), triple[1], *right_cells) + cells[m:],
+                slots[:k] + (*reversed(left_slots), triple[0], triple[2], *right_slots)
                 + slots[m + 1 :])
 
     @property
@@ -125,7 +124,7 @@ class EncodedTape:
     def triple_at(self, pos: int) -> tuple[str, str, str]:
         """The cell at absolute position ``pos`` between the slots on either
         side of it: O(1) for the window and the cells next to it that a move
-        has reached, a slice of ``fields`` elsewhere. A position off the
+        has reached, read from the spliced rows elsewhere. A position off the
         strand raises IndexError."""
         triple, left, right, _, _, _ = self._zipper
         cell = pos - self._origin
@@ -138,7 +137,8 @@ class EncodedTape:
             return triple[2], right[0], right[1]
         if not 0 <= cell < self._cells:
             raise IndexError(f"position {pos} is off the strand of {self._cells} cells")
-        return self.fields[2 * cell : 2 * cell + 3]
+        cells, slots = self._rows()
+        return slots[cell], cells[cell], slots[cell + 1]
 
     def render(self) -> str:
         return "_".join(self.fields)
@@ -183,8 +183,7 @@ def _off_strand(window: int, cells: int) -> TapeError:
 
 
 def _unstack(stack) -> tuple[list[str], list[str]]:
-    """The cells and the slots of a stack of ``(cell, slot, rest)`` entries,
-    top first."""
+    """The cells and the slots of a stack of ``(cell, slot, rest)`` entries, top first."""
     cells, slots = [], []
     while stack is not None:
         cell, slot, stack = stack
@@ -280,13 +279,13 @@ def decode_tape(tape: EncodedTape, codec: Codec) -> DecodedConfig:
     dict directly: perfbench counts reverse lookups by wrapping that method,
     and its smoke test requires at least one per decoded cell.
     """
-    cells = tape.symbol_cells
+    cells, slots = tape._rows()
     name = codec.symbol_name  # called inline, not from C as map would: faster on 3.11
     symbols = tuple([name(cell) for cell in cells])
     if not all(symbols) and None in symbols:
         i = symbols.index(None)
         raise TapeError(f"cell {i}: {cells[i]} decodes to no known symbol")
-    halt, slots, w = codec.halt_state, tape.state_slots, tape.window
+    halt, w = codec.halt_state, tape.window
     live = len(slots) - slots.count(halt)
     if not live:
         return DecodedConfig(

@@ -20,6 +20,7 @@ from codonmachine import (
     TapeError,
     TraceEvent,
     apply_trna,
+    bisimulate,
     build_codec,
     compile_rule,
     compile_ruleset,
@@ -223,6 +224,16 @@ class TestRun:
         assert final.step_count == 98
         decoded = decode_tape(final.tape, utm_codec)
         assert decoded.state is None
+
+
+class TestNewSim:
+    @pytest.mark.parametrize("entry", [new_sim, bisimulate])
+    def test_default_symbol_with_no_codon_is_a_tape_error(self, adder, entry):
+        """As a tape symbol with no codon is: after the compile and the
+        encode pass, never a bare KeyError."""
+        spec = dataclasses.replace(adder, default_symbol="#")
+        with pytest.raises(TapeError, match="^default symbol '#' has no codon$"):
+            entry(spec, build_codec(spec))
 
 
 class TestIterRun:

@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +294,40 @@ class TestSymbolNameLookups:
         codec = Codec(2, 3, {"": "01", "1": "10"}, {"q": "001"})
         decoded = decode_tape(EncodedTape(("111", "10", "001", "01", "111"), 1), codec)
         assert (decoded.symbols, decoded.state, decoded.head) == (("1", ""), "q", 1)
+
+
+class TestStrandHeldOnce:
+    """A tape holds its strand once: the whole-strand views are built on each
+    read from one splice of the rows, and none is kept beside them."""
+
+    def test_whole_tape_reads_retain_nothing(self):
+        spec = parse_machine_spec(walker_text(50_000, "R"))
+        codec = build_codec(spec)
+        tape, twin = (run(new_sim(spec, codec), 8)[0].tape for _ in range(2))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rendered, hashed, equal = tape.render(), hash(tape), tape == twin
+            del rendered
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert equal and hashed == hash(twin)
+        # a cached interleaving would be 2n+1 references, 800 KB per tape
+        assert retained < 1024, retained
+
+    def test_deep_tape_decodes_as_its_fields_rebuilt(self):
+        text = (Path(__file__).resolve().parent / "golden" / "bb5.spec").read_text(encoding="utf-8")
+        spec = parse_machine_spec(text)
+        codec = build_codec(spec)
+        tape = run(new_sim(spec, codec), 20_000)[0].tape
+        assert tape.origin < 0 < tape.window < tape.cell_count - 1  # grown on both sides
+        assert tape.origin + tape.cell_count > len(spec.tape)
+        rebuilt = EncodedTape(tape.fields, tape.window, tape.origin)
+        assert rebuilt == tape and rebuilt.render() == tape.render()
+        assert decode_tape(tape, codec) == decode_tape(rebuilt, codec)
 
 
 class TestRoundTrip:
