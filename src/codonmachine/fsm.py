@@ -4,6 +4,11 @@ The stream engine reads one symbol at a time: the tRNA whose two match fields
 are the complements of the current state codon and the symbol codon fires and
 deposits the new state codon. Input exhaustion is the only stopping rule;
 there is no halt state.
+
+Each run resolves that match once, up front, into one row per state codon the
+run can hold (the initial codon and every deposit): the row maps each input
+symbol to the rule id that fires and the codon it deposits. A symbol then
+costs two dict subscripts, and a failed one is diagnosed after the loop stops.
 """
 
 from __future__ import annotations
@@ -59,10 +64,14 @@ def compile_fsm(spec: FsmSpec, codec: Codec) -> list[FsmTrna]:
 def fsm_oracle(spec: FsmSpec, input_symbols: Sequence[str]) -> str:
     """Ground truth: walk the transition map directly, no codons."""
     state = spec.initial_state
-    for i, symbol in enumerate(input_symbols):
-        if symbol not in spec.symbols:
-            raise FsmError(f"input position {i}: undeclared symbol {symbol!r}")
-        state = spec.transitions[(state, symbol)]
+    try:
+        for i, symbol in enumerate(input_symbols):
+            if symbol not in spec.symbols:
+                raise FsmError(f"input position {i}: undeclared symbol {symbol!r}")
+            state = spec.transitions[(state, symbol)]
+    except KeyError:
+        # a hand-built spec whose table is not total, as compile_fsm reports it
+        raise FsmError(f"no transition for ({state!r}, {symbol!r})") from None
     return state
 
 
@@ -70,27 +79,44 @@ def fsm_run(
     spec: FsmSpec, input_symbols: Sequence[str], codec: Codec
 ) -> tuple[str, list[int]]:
     """Run the compiled stream engine; returns the final state and the rule id
-    fired on each input symbol, in input order."""
-    # keyed on the write forms the match fields lock onto, so a lookup takes
-    # the state and symbol codons as they are
+    fired on each input symbol, in input order.
+
+    The match is resolved into ``{state codon: {symbol: (rule id, deposited
+    state codon)}}`` before the first symbol: each tRNA is keyed on the write
+    forms its two match fields lock onto (a later tRNA on the same key wins),
+    composed with ``codec.symbol_write``. A symbol with no codon raises
+    ``FsmError``; a symbol whose codon no tRNA matches in the current state
+    raises ``FsmCompileCorruption``, as does a final codon that names no state.
+    """
     by_match = {
-        (read_form(t.state_match), read_form(t.symbol_match)): t
+        (read_form(t.state_match), read_form(t.symbol_match)): (t.rule_id, t.new_state)
         for t in compile_fsm(spec, codec)
     }
     symbol_write = codec.symbol_write
     state_codon = codec.state_write[spec.initial_state]
+    table = {
+        row: {
+            symbol: by_match[(row, codon)]
+            for symbol, codon in symbol_write.items()
+            if (row, codon) in by_match
+        }
+        for row in {state_codon, *(deposit for _, deposit in by_match.values())}
+    }
     trace: list[int] = []
-    for symbol in input_symbols:
-        symbol_codon = symbol_write.get(symbol)
-        if symbol_codon is None:
-            raise FsmError(f"input position {len(trace)}: undeclared symbol {symbol!r}")
-        fired = by_match.get((state_codon, symbol_codon))
-        if fired is None:
-            raise FsmCompileCorruption(
-                f"no tRNA matched state codon {state_codon} on {symbol!r}"
-            )
-        trace.append(fired.rule_id)
-        state_codon = fired.new_state
+    append = trace.append
+    try:
+        for symbol in input_symbols:
+            rule_id, state_codon = table[state_codon][symbol]
+            append(rule_id)
+    except KeyError:
+        # the symbol that stopped the loop, read in the state it was read in
+        if symbol not in symbol_write:
+            raise FsmError(
+                f"input position {len(trace)}: undeclared symbol {symbol!r}"
+            ) from None
+        raise FsmCompileCorruption(
+            f"no tRNA matched state codon {state_codon} on {symbol!r}"
+        ) from None
     name = codec.state_name(state_codon)
     if name is None:
         raise FsmCompileCorruption(f"final codon {state_codon} names no state")

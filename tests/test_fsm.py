@@ -7,15 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import codonmachine.fsm as fsm_module
 from codonmachine import (
+    CodecOverrides,
     FsmSpec,
     build_codec,
     compile_fsm,
     corpus_codec,
+    enumerate_balanced,
     fsm_oracle,
     fsm_run,
 )
+from codonmachine.codec import read_form
 from codonmachine.fsm import FsmCompileCorruption, FsmError
+
+# names of one and several characters; UNDECLARED holds none of SYMBOL_NAMES
+STATE_NAMES = ("A", "r0", "even", "odd", "q10", "s")
+SYMBOL_NAMES = ("0", "1", "zero", "one", "ab")
+UNDECLARED = ("?", "two", "o")
+CORRUPTIONS = ("none", "dropped", "duplicated", "unnamed-deposit", "other-state-deposit")
 
 
 @pytest.fixture(scope="module")
@@ -116,16 +126,12 @@ class TestRun:
         assert final == "A"
 
     def test_missing_trna_is_corruption(self, parity, parity_codec, monkeypatch):
-        import codonmachine.fsm as fsm_module
-
         dropped = compile_fsm(parity, parity_codec)[1:]  # no tRNA for (A, 0)
         monkeypatch.setattr(fsm_module, "compile_fsm", lambda spec, codec: dropped)
         with pytest.raises(FsmCompileCorruption, match="no tRNA matched"):
             fsm_run(parity, "0", parity_codec)
 
     def test_unnamed_deposit_is_corruption(self, parity, parity_codec, monkeypatch):
-        import codonmachine.fsm as fsm_module
-
         trnas = compile_fsm(parity, parity_codec)
         unnamed = "0" * parity_codec.state_len
         assert parity_codec.state_name(unnamed) is None
@@ -149,6 +155,15 @@ class TestOracle:
         with pytest.raises(FsmError, match="undeclared"):
             fsm_oracle(parity, "x")
 
+    def test_missing_transition_is_an_fsm_error(self):
+        # a hand-built spec: the walk reaches the pair the table lacks
+        spec = FsmSpec(symbols=("x", "y"), states=("S",), transitions={("S", "x"): "S"},
+                       initial_state="S")
+        assert fsm_oracle(spec, "xx") == "S"
+        with pytest.raises(FsmError) as info:
+            fsm_oracle(spec, "xy")
+        assert str(info.value) == "no transition for ('S', 'y')"
+
 
 class TestAgreement:
     @given(st.text(alphabet="01", max_size=64))
@@ -161,8 +176,6 @@ class TestAgreement:
         assert fsm_oracle(parity, s) == expected
 
     def test_exactly_one_match_per_step(self, parity, parity_codec):
-        from codonmachine.codec import read_form
-
         trnas = compile_fsm(parity, parity_codec)
         state = parity_codec.state_write[parity.initial_state]
         for symbol in "1101001":
@@ -173,3 +186,122 @@ class TestAgreement:
             ]
             assert len(fired) == 1
             state = fired[0].new_state
+
+
+def reference_run(spec, input_symbols, codec, trnas):
+    """The stream engine as it ran before it read each symbol from its state
+    codon's row: one match lookup per symbol, over the given tRNAs."""
+    # keyed on the write forms the match fields lock onto, so a lookup takes
+    # the state and symbol codons as they are
+    by_match = {
+        (read_form(t.state_match), read_form(t.symbol_match)): t
+        for t in trnas
+    }
+    symbol_write = codec.symbol_write
+    state_codon = codec.state_write[spec.initial_state]
+    trace: list[int] = []
+    for symbol in input_symbols:
+        symbol_codon = symbol_write.get(symbol)
+        if symbol_codon is None:
+            raise FsmError(f"input position {len(trace)}: undeclared symbol {symbol!r}")
+        fired = by_match.get((state_codon, symbol_codon))
+        if fired is None:
+            raise FsmCompileCorruption(
+                f"no tRNA matched state codon {state_codon} on {symbol!r}"
+            )
+        trace.append(fired.rule_id)
+        state_codon = fired.new_state
+    name = codec.state_name(state_codon)
+    if name is None:
+        raise FsmCompileCorruption(f"final codon {state_codon} names no state")
+    return name, trace
+
+
+def random_fsm(rng: random.Random) -> FsmSpec:
+    """A total FSM on 1-6 states and 1-5 symbols drawn from names of one and
+    several characters."""
+    states = tuple(rng.sample(STATE_NAMES, rng.randint(1, len(STATE_NAMES))))
+    symbols = tuple(rng.sample(SYMBOL_NAMES, rng.randint(1, len(SYMBOL_NAMES))))
+    transitions = {(q, s): rng.choice(states) for q in states for s in symbols}
+    return FsmSpec(symbols, states, transitions, rng.choice(states))
+
+
+def random_codec(spec: FsmSpec, rng: random.Random):
+    """The least codec, or one widened with every name on a drawn codon."""
+    least = build_codec(spec)
+    if rng.random() < 0.5:
+        return least
+    symbol_len = least.symbol_len + rng.choice([0, 2])
+    state_len = least.state_len + rng.randint(0, 2)
+    return build_codec(spec, CodecOverrides(
+        symbol_len, state_len,
+        dict(zip(spec.symbols, rng.sample(enumerate_balanced(symbol_len), len(spec.symbols)))),
+        dict(zip(spec.states, rng.sample(enumerate_balanced(state_len), len(spec.states)))),
+    ))
+
+
+def corrupt(trnas, kind: str, codec, rng: random.Random):
+    """The compiled tRNAs with one corruption of the given kind ("none"
+    leaves them whole)."""
+    trnas = list(trnas)
+    i = rng.randrange(len(trnas))
+    if kind == "dropped":
+        del trnas[i]
+    elif kind == "duplicated":
+        # a second tRNA on the same key, later in the list, so it wins
+        later = dataclasses.replace(
+            trnas[i], rule_id=len(trnas) + 1,
+            new_state=rng.choice(list(codec.state_write.values())))
+        trnas.insert(rng.randint(i + 1, len(trnas)), later)
+    elif kind == "unnamed-deposit":
+        named = set(codec.state_write.values())
+        unnamed = [c for c in (format(v, f"0{codec.state_len}b")
+                               for v in range(2**codec.state_len)) if c not in named]
+        trnas[i] = dataclasses.replace(trnas[i], new_state=rng.choice(unnamed))
+    elif kind == "other-state-deposit":
+        others = [c for c in codec.state_write.values() if c != trnas[i].new_state]
+        if others:
+            trnas[i] = dataclasses.replace(trnas[i], new_state=rng.choice(others))
+    return trnas
+
+
+def random_input(spec: FsmSpec, rng: random.Random) -> list[str]:
+    """Declared symbols, with one undeclared symbol at a drawn position in
+    about a third of the inputs."""
+    symbols = rng.choices(spec.symbols, k=rng.randint(0, 30))
+    if rng.random() < 1 / 3:
+        symbols.insert(rng.randint(0, len(symbols)), rng.choice(UNDECLARED))
+    return symbols
+
+
+def outcome(run, *args):
+    """A run's result, or the type and message of what it raised."""
+    try:
+        return run(*args)
+    except (FsmError, FsmCompileCorruption) as e:
+        return type(e), str(e)
+
+
+class TestDifferential:
+    """fsm_run against the engine it replaced, on the same tRNAs, whole or
+    corrupted: the same final state and trace, or the same error."""
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_matches_the_reference_engine(self, kind, monkeypatch):
+        rng = random.Random(f"fsm-differential-{kind}")
+        raised = set()
+        for _ in range(150):
+            spec = random_fsm(rng)
+            codec = random_codec(spec, rng)
+            trnas = corrupt(compile_fsm(spec, codec), kind, codec, rng)
+            monkeypatch.setattr(fsm_module, "compile_fsm", lambda spec, codec: trnas)
+            for _ in range(3):
+                symbols = random_input(spec, rng)
+                got = outcome(fsm_run, spec, symbols, codec)
+                assert got == outcome(reference_run, spec, symbols, codec, trnas), (
+                    spec, codec, trnas, symbols)
+                raised.add(got[0] if isinstance(got[0], type) else None)
+        # every kind reaches the undeclared-symbol error; only a dropped tRNA
+        # or an unnamed deposit leaves a symbol that no tRNA matches
+        assert FsmError in raised
+        assert (FsmCompileCorruption in raised) == (kind in ("dropped", "unnamed-deposit"))

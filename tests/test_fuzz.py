@@ -3,6 +3,7 @@
 Hypothesis draws total and partial machines on up to conftest's full pools
 (10 states, 6 symbols), short tapes with the head anywhere on them, and the
 least codec, a widened one or one with every name on a drawn balanced codon.
+Total FSMs on the same pools and codecs run against the FSM oracle.
 Runs that grow the tape on either side are labelled with ``event``; the
 statistics (``pytest --hypothesis-show-statistics``) show how many did.
 """
@@ -14,12 +15,15 @@ from codonmachine import (
     Arrival,
     CodecOverrides,
     CompileMode,
+    FsmSpec,
     MachineSpec,
     Move,
     Rule,
     bisimulate,
     build_codec,
     enumerate_balanced,
+    fsm_oracle,
+    fsm_run,
     new_sim,
     run,
     tm_run,
@@ -62,10 +66,9 @@ def machines(draw) -> MachineSpec:
 
 
 @st.composite
-def cases(draw):
-    """A machine and a codec for it: the least lengths or wider, on the
+def codecs(draw, spec):
+    """A codec for a machine or an FSM: the least lengths or wider, on the
     default codons or with every name on a drawn balanced codon."""
-    spec = draw(machines())
     least = build_codec(spec)
     symbol_len = least.symbol_len + draw(st.sampled_from([0, 2]))
     state_len = least.state_len + draw(st.integers(0, 2))
@@ -73,7 +76,28 @@ def cases(draw):
     if draw(st.booleans()):
         symbols = dict(zip(spec.symbols, draw(st.permutations(enumerate_balanced(symbol_len)))))
         states = dict(zip(spec.states, draw(st.permutations(enumerate_balanced(state_len)))))
-    return spec, build_codec(spec, CodecOverrides(symbol_len, state_len, symbols, states))
+    return build_codec(spec, CodecOverrides(symbol_len, state_len, symbols, states))
+
+
+@st.composite
+def cases(draw):
+    """A machine and a codec for it."""
+    spec = draw(machines())
+    return spec, draw(codecs(spec))
+
+
+@st.composite
+def fsm_cases(draw):
+    """A total FSM, a codec for it and an input over its symbols."""
+    states = tuple(STATE_POOL[: draw(st.integers(1, len(STATE_POOL)))])
+    symbols = tuple(SYMBOL_POOL[: draw(st.integers(1, len(SYMBOL_POOL)))])
+    spec = FsmSpec(
+        symbols=symbols,
+        states=states,
+        transitions={(q, s): draw(st.sampled_from(states)) for q in states for s in symbols},
+        initial_state=draw(st.sampled_from(states)),
+    )
+    return spec, draw(codecs(spec)), draw(st.lists(st.sampled_from(symbols), max_size=40))
 
 
 @EXAMPLES
@@ -120,3 +144,16 @@ def test_dual_and_inferred_runs_agree(case):
         return [e.rule_id for e in trace], final.tape, final.step_count, result
 
     assert outcome(CompileMode.DUAL) == outcome(CompileMode.INFERRED)
+
+
+@EXAMPLES
+@given(fsm_cases())
+def test_fsm_run_follows_the_oracle_walk(case):
+    spec, codec, symbols = case
+    final, trace = fsm_run(spec, symbols, codec)
+    assert final == fsm_oracle(spec, symbols)
+    assert len(trace) == len(symbols)
+    # rule ids count (state, symbol) pairs state-major, symbol-minor, from 1
+    walk = [fsm_oracle(spec, symbols[:i]) for i in range(len(symbols))]
+    assert trace == [spec.states.index(q) * len(spec.symbols) + spec.symbols.index(s) + 1
+                     for q, s in zip(walk, symbols)]
