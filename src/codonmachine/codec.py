@@ -93,9 +93,10 @@ def parse_codec_overrides(text: str) -> CodecOverrides:
     """Parse an override file.
 
     Lines: ``symbol <name> <bits>``, ``state <name> <bits>``,
-    ``symbol-len <n>``, ``state-len <n>``. Blank lines are ignored.
+    ``symbol-len <n>``, ``state-len <n>``; each length and each name is
+    given at most once. Blank lines are ignored.
     """
-    symbol_len = state_len = None
+    lengths: dict[str, int] = {}
     symbols: dict[str, str] = {}
     states: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -109,23 +110,20 @@ def parse_codec_overrides(text: str) -> CodecOverrides:
                 value = int(tokens[1])
             except ValueError:
                 raise CodecError(f"line {line_no}: bad length {tokens[1]!r}")
-            if kind == "symbol-len":
-                symbol_len = value
-            else:
-                state_len = value
+            target, name = lengths, kind
         elif kind in ("symbol", "state") and len(tokens) == 3:
-            name, bits = tokens[1], tokens[2]
-            if not bits or set(bits) - {"0", "1"}:
-                raise CodecError(f"line {line_no}: bad codon {bits!r}")
+            name, value = tokens[1], tokens[2]
+            if not value or set(value) - {"0", "1"}:
+                raise CodecError(f"line {line_no}: bad codon {value!r}")
             target = symbols if kind == "symbol" else states
-            if name in target:
-                raise CodecError(f"line {line_no}: duplicate override for {name!r}")
-            target[name] = bits
         else:
             raise CodecError(f"line {line_no}: cannot parse {line!r}")
+        if name in target:
+            raise CodecError(f"line {line_no}: duplicate override for {name!r}")
+        target[name] = value
     return CodecOverrides(
-        symbol_len=symbol_len,
-        state_len=state_len,
+        symbol_len=lengths.get("symbol-len"),
+        state_len=lengths.get("state-len"),
         symbols=symbols or None,
         states=states or None,
     )

@@ -96,15 +96,17 @@ class FsmSpec:
     initial_state: str
 
 
+def _duplicate_declarations(spec: MachineSpec | FsmSpec) -> list[str]:
+    """The violations both spec kinds start from: a name declared twice."""
+    return [f"duplicate {kind} declaration" for kind, names in
+            (("symbol", spec.symbols), ("state", spec.states)) if len(set(names)) != len(names)]
+
+
 def validate(spec: MachineSpec) -> list[str]:
     """Return all invariant violations, empty when the spec is valid."""
-    v: list[str] = []
+    v = _duplicate_declarations(spec)
     declared_symbols = set(spec.symbols)
     declared_states = set(spec.states)
-    if len(declared_symbols) != len(spec.symbols):
-        v.append("duplicate symbol declaration")
-    if len(declared_states) != len(spec.states):
-        v.append("duplicate state declaration")
     seen: dict[tuple[str, str], int] = {}
     for i, r in enumerate(spec.rules):
         where = f"rule {i + 1}"
@@ -144,7 +146,7 @@ def validate(spec: MachineSpec) -> list[str]:
 
 def validate_fsm(spec: FsmSpec) -> list[str]:
     """Violations for an FSM spec; transitions must be total."""
-    v: list[str] = []
+    v = _duplicate_declarations(spec)
     declared_symbols = set(spec.symbols)
     declared_states = set(spec.states)
     if spec.initial_state not in declared_states:
@@ -244,6 +246,8 @@ def _parse(lines: list[tuple[int, str, str]], rule_key: str) -> MachineSpec | Fs
             raise SpecSyntaxError(foreign, line_no)
         elif key not in required:
             raise SpecSyntaxError(f"unknown directive {key!r}", line_no)
+        elif key in values:
+            raise SpecSyntaxError(f"duplicate directive {key!r}", line_no)
         elif key in ("symbols", "states"):
             values[key] = tuple(_name(t) for t in value.split())
         elif key == "tape":

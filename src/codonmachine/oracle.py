@@ -81,13 +81,10 @@ def _classical_step(
 ) -> bool:
     """Fire the rule under the head, updating ``cfg`` in place; ``probe`` only
     looks. A missing rule is a stuck halt: the state becomes None and the
-    result is False. The head cell is read as ``ClassicalConfig.symbol_at``
-    reads it, inline, because this runs on every lockstep step."""
+    result is False. A written head cell is read inline, as this runs on every
+    lockstep step, and every other through ``ClassicalConfig.symbol_at``."""
     head = cfg.head
-    symbol = cfg.symbols.get(head)
-    if symbol is None:
-        base = cfg.base
-        symbol = base[head] if 0 <= head < len(base) else default_symbol
+    symbol = cfg.symbols.get(head) or cfg.symbol_at(head, default_symbol)
     action = table.get((cfg.state, symbol))
     if action is None:
         cfg.state = None
@@ -257,15 +254,9 @@ def _written_divergence(
         offset == -1 and slot == halt and next_slot == live
         or offset == 1 and slot == live and next_slot == halt
     ):
-        # both classical cells, read as ClassicalConfig.symbol_at reads them,
-        # inline, because this runs on every lockstep step
-        symbols, base = cfg.symbols, cfg.base
-        at_pos = symbols.get(pos)
-        if at_pos is None:
-            at_pos = base[pos] if 0 <= pos < len(base) else spec.default_symbol
-        at_window = symbols.get(window)
-        if at_window is None:
-            at_window = base[window] if 0 <= window < len(base) else spec.default_symbol
+        symbols, default = cfg.symbols, spec.default_symbol
+        at_pos = symbols.get(pos) or cfg.symbol_at(pos, default)
+        at_window = symbols.get(window) or cfg.symbol_at(window, default)
         if cell == write.get(at_pos) and seen == write.get(at_window):
             return None
     written, moved = (pos, cell), (window, seen)
@@ -292,8 +283,10 @@ def bisimulate(
     compiled ruleset on the mechanical side only (useful to demonstrate that a
     corrupted compile is caught).
 
-    The base case compares the encoded tape with the initial configuration
-    in codons (see ``_initial_divergence``), so a passing run decodes one
+    Each pass of the loop checks the tape its step starts from at one site:
+    the first pass is the base case, which compares the encoded tape with the
+    initial configuration in codons (see ``_initial_divergence``), and every
+    later pass checks what the last step wrote. So a passing run decodes one
     whole tape, at the end: at a halt before the classical side probes for a
     stuck rule, at the budget after it. That compare stays a decode, one
     ``Codec.symbol_name`` per cell, because perfbench counts those lookups
@@ -319,17 +312,19 @@ def bisimulate(
     sim = new_sim(spec, codec, mode, trnas=trnas)
     table, cfg = _rule_table(spec), _start(spec)
     written = None  # absolute position of the cell the last step wrote
-    divergence = _initial_divergence(spec, codec, sim.tape, cfg)
     for after, event in iter_run(sim, Arrival.DETERMINISTIC, max_steps):
         # check the tape this step starts from, then whether both sides fire
         steps = sim.step_count
-        if divergence is None and written is not None:
+        if written is None:
+            divergence = _initial_divergence(spec, codec, sim.tape, cfg)
+        else:
             divergence = _written_divergence(spec, codec, steps, written, sim.tape, cfg)
-        if divergence is None and event is None:
-            divergence = _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
+        if event is None:
+            divergence = divergence or _divergence(spec, steps, decode_tape(sim.tape, codec), cfg)
         fired = _classical_step(table, spec.default_symbol, cfg)
-        if divergence is None and fired != (event is not None):
-            divergence = Divergence(steps, "halting", str(event is None), str(not fired))
+        if fired != (event is not None):
+            divergence = divergence or Divergence(
+                steps, "halting", str(event is None), str(not fired))
         if divergence:
             return BisimVerdict(False, steps, None, divergence)
         written, sim = sim.tape.window_abs, after

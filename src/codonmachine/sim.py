@@ -23,7 +23,8 @@ replacement until the match arrives, trials = number of draws). The sampling
 pool is the individual read rows, so a dual-compiled ruleset of 25 records
 offers 50 arrivals. The number of draws is Geometric(1/pool), so it is taken
 in one inverse-CDF draw rather than by drawing rows one by one; a seeded run
-keys each step's uniform on (seed, step count), so ``step`` stays pure.
+keys each step's uniform on (seed, step count), so ``step`` stays pure; from
+step 1,000,003 on, where seed s's key would be seed s + 1's, it mixes the seed.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class WindowIndex:
             window = tuple(map(flip, row))
             self.rows.setdefault(window, (i, t, side))
             rule_ids.setdefault(window, []).append(t.rule_id)
+        # a clash is a rule id other than the first; counting, unlike a set, builds nothing
         self.clashes = {w: sorted(ids) for w, ids in rule_ids.items()
-                        if len(ids) > 1 and len(set(ids)) > 1}
+                        if ids.count(ids[0]) != len(ids)}
         self.pool = sum(len(t.reads) for t in trnas)
         self.match = self._checked_match if self.clashes else self.rows.get
 
@@ -189,6 +191,7 @@ def apply_trna(trna: Trna, sim: SimInstance) -> SimInstance:
 
 
 _MASK64 = (1 << 64) - 1
+_STRIDE = 1_000_003  # below this step, a seed's key is seed * _STRIDE + step
 
 
 def _uniform(key: int) -> float:
@@ -202,12 +205,19 @@ def _uniform(key: int) -> float:
 
 def _stochastic_trials(sim: SimInstance) -> int:
     """Draws, with replacement from the read-row pool, until the matching row
-    arrives: Geometric(1/pool), by one inverse-CDF draw keyed per step."""
+    arrives: Geometric(1/pool), by one inverse-CDF draw keyed per step. From
+    step ``_STRIDE`` on, where seed * _STRIDE + step is the next seed's key,
+    the key is the step plus the seed mixed: ``_uniform(seed)``'s 53 bits."""
     pool = sim.index.pool
     if pool <= 1:
         return 1
-    seed = sim.rng_seed
-    u = random.random() if seed is None else _uniform(seed * 1_000_003 + sim.step_count)
+    seed, step = sim.rng_seed, sim.step_count
+    if seed is None:
+        u = random.random()
+    elif step < _STRIDE:
+        u = _uniform(seed * _STRIDE + step)
+    else:
+        u = _uniform(int(_uniform(seed) * 2.0**64) + step)
     return 1 + int(math.log(1.0 - u) / math.log1p(-1.0 / pool))
 
 

@@ -431,3 +431,15 @@ class TestParseOverrides:
     def test_duplicate(self):
         with pytest.raises(CodecError, match="duplicate"):
             parse_codec_overrides("symbol x 01\nsymbol x 10\n")
+
+    @pytest.mark.parametrize("kind", ["symbol-len", "state-len"])
+    def test_duplicate_length(self, kind):
+        with pytest.raises(CodecError) as info:
+            parse_codec_overrides(f"{kind} 6\nsymbol x 01\n{kind} 8\n")
+        assert str(info.value) == f"line 3: duplicate override for {kind!r}"
+
+    @pytest.mark.parametrize("line", ["symbol-len 6 7", "symbol g"])
+    def test_a_line_of_the_wrong_arity_cannot_be_parsed(self, line):
+        with pytest.raises(CodecError) as info:
+            parse_codec_overrides(f"{line}\n")
+        assert str(info.value) == f"line 1: cannot parse {line!r}"

@@ -98,6 +98,25 @@ class TestParse:
         assert isinstance(parse_spec(UNARY_ADDER_TEXT), MachineSpec)
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            *(pytest.param(INCREMENTER_TEXT, key, id=f"tm-{key}")
+              for key in ("symbols", "states", "default", "initial", "tape", "head")),
+            *(pytest.param(PARITY_TEXT, key, id=f"fsm-{key}")
+              for key in ("symbols", "states", "initial")),
+        ],
+    )
+    def test_a_repeated_single_valued_directive_is_rejected(self, text, key):
+        """A second line of the directive, right after the first, fails at its
+        own line rather than replacing the first."""
+        lines = text.splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}:"))
+        lines.insert(i + 1, lines[i])
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_spec("".join(lines))
+        assert str(info.value) == f"line {i + 2}, column 1: duplicate directive {key!r}"
+
+    @pytest.mark.parametrize(
         "parser, text, message",
         [
             pytest.param(
@@ -326,6 +345,26 @@ class TestFsmParse:
         text = PARITY_TEXT.replace("fsm-rule: B 1 A\n", "")
         with pytest.raises(SpecValidationError, match="missing transition"):
             parse_fsm_spec(text)
+
+    @pytest.mark.parametrize(
+        "alphabets, violations",
+        [
+            pytest.param("symbols: 0 0 1\nstates: A B", ["duplicate symbol declaration"],
+                         id="symbol"),
+            pytest.param("symbols: 0 1\nstates: A B A", ["duplicate state declaration"],
+                         id="state"),
+            pytest.param("symbols: 0 0 1\nstates: A B A",
+                         ["duplicate symbol declaration", "duplicate state declaration"],
+                         id="both"),
+        ],
+    )
+    def test_a_name_declared_twice_is_rejected(self, alphabets, violations):
+        """The rules stay total over the distinct names, so the duplicates are
+        all that is reported, in the order a Turing machine spec reports them."""
+        text = PARITY_TEXT.replace("symbols: 0 1\nstates: A B", alphabets)
+        with pytest.raises(SpecValidationError) as info:
+            parse_fsm_spec(text)
+        assert info.value.violations == violations
 
     def test_duplicate_fsm_rule(self):
         text = PARITY_TEXT.replace(

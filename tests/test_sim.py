@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import gc
+import math
 import pickle
 import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -168,12 +170,53 @@ class TestStep:
         final, trace, _ = run(sim, 20, Arrival.STOCHASTIC)
         assert final.trial_count == final.step_count == len(trace) == 20
 
+    def test_stochastic_two_row_pool_draws_the_inverse_cdf(self):
+        # one rule compiled dual: two read rows, so a draw can miss
+        spec = parse_machine_spec(ONE_RULE_WALKER)
+        sim = new_sim(spec, build_codec(spec), CompileMode.DUAL, rng_seed=3)
+        assert sim.index.pool == 2
+        _, trace, _ = run(sim, 40, Arrival.STOCHASTIC)
+        want = [1 + int(math.log(1.0 - sim_module._uniform(3 * 1_000_003 + k)) / math.log1p(-0.5))
+                for k in range(40)]
+        assert [e.trials for e in trace] == want
+        assert max(want) > 1
+
     def test_nondeterminism_fault(self, adder, adder_codec):
         t1 = compile_rule(adder.rules[0], 1, adder_codec, BOTH)
         t2 = compile_rule(adder.rules[0], 2, adder_codec, BOTH)
         sim = new_sim(adder, adder_codec, trnas=[t1, t2])
         with pytest.raises(NondeterminismFault):
             step(sim)
+
+
+class TestSeededDraws:
+    """A seeded step's uniform: splitmix64 on a key of the seed and the step."""
+
+    SEEDS = [0, 7, -1, 2**63 - 1]
+    POOL = 2**40  # so large that the trials tell almost any two draws apart
+
+    def test_uniform_is_splitmix64(self):
+        # the first two outputs of splitmix64 from state 0, top 53 bits
+        assert sim_module._uniform(0) == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+        assert sim_module._uniform(0x9E3779B97F4A7C15) == (0x6E789E6AA1B965F4 >> 11) * 2.0**-53
+
+    def trials(self, seed, step):
+        sim = SimpleNamespace(index=SimpleNamespace(pool=self.POOL), rng_seed=seed,
+                              step_count=step)
+        return sim_module._stochastic_trials(sim)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_the_next_seed_does_not_replay_this_one(self, seed):
+        later = [self.trials(seed, 1_000_003 + k) for k in range(1000)]
+        first = [self.trials(seed + 1, k) for k in range(1000)]
+        assert all(a != b for a, b in zip(later, first))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_step_below_the_stride_keeps_its_key(self, seed):
+        for k in (*range(1000), *range(1_000_003 - 1000, 1_000_003)):
+            u = sim_module._uniform(seed * 1_000_003 + k)
+            want = 1 + int(math.log(1.0 - u) / math.log1p(-1.0 / self.POOL))
+            assert self.trials(seed, k) == want, k
 
 
 class TestRun:

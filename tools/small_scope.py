@@ -43,6 +43,7 @@ def tables() -> list[tuple]:
 def check(rule_tables: list[tuple]) -> dict:
     """Bisimulate each table in both modes against ``tm_run``."""
     import codonmachine as cm
+    from codonmachine.machine import format_rule
 
     blank = cm.MachineSpec(SYMBOLS, STATES, (), SYMBOLS[0], STATES[0], (SYMBOLS[0],), 0)
     codec = cm.build_codec(blank)
@@ -56,8 +57,7 @@ def check(rule_tables: list[tuple]) -> dict:
             verdict = cm.bisimulate(spec, codec, mode, STEPS)
             if (verdict.passed, verdict.steps, verdict.outcome) != (True, ref.steps, ref.outcome):
                 failures.append({
-                    "rules": [f"{r.state} {r.read_symbol} {r.write_symbol} {r.move.value} "
-                              f"{r.next_state or '-'}" for r in rules],
+                    "rules": [format_rule(r) for r in rules],
                     "mode": mode.value, "verdict": repr(verdict)})
     return {
         "tables": len(rule_tables),
