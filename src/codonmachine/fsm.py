@@ -9,6 +9,12 @@ Each run resolves that match once, up front, into one row per state codon the
 run can hold (the initial codon and every deposit): the row maps each input
 symbol to the rule id that fires and the codon it deposits. A symbol then
 costs two dict subscripts, and a failed one is diagnosed after the loop stops.
+
+The reference, ``fsm_oracle``, walks the transition map by name and shares no
+code with the engine's codon table. It too resolves the map once, into one row
+of declared symbols per state, so a symbol costs one chained subscript; the
+position of an undeclared symbol is recovered after the loop, exactly, as its
+first occurrence in the input.
 """
 
 from __future__ import annotations
@@ -62,14 +68,29 @@ def compile_fsm(spec: FsmSpec, codec: Codec) -> list[FsmTrna]:
 
 
 def fsm_oracle(spec: FsmSpec, input_symbols: Sequence[str]) -> str:
-    """Ground truth: walk the transition map directly, no codons."""
+    """Ground truth: walk the transition map directly, by name, no codons.
+
+    The map is resolved once into ``{state: {symbol: next state}}``: declared
+    symbols only, under every state the map leaves on one, declared or not, so
+    a symbol costs one chained subscript. A state with no row fails its next
+    lookup as a missing pair would. A failed lookup is diagnosed after the loop
+    stops: an undeclared symbol first, at ``list(input_symbols).index(symbol)``,
+    which is exact because every earlier symbol was found in a row and so was
+    declared; otherwise the table lacks the pair.
+    """
+    declared = set(spec.symbols)
+    rows: dict[str, dict[str, str]] = {}
+    for (state, symbol), new in spec.transitions.items():
+        if symbol in declared:
+            rows.setdefault(state, {})[symbol] = new
     state = spec.initial_state
     try:
-        for i, symbol in enumerate(input_symbols):
-            if symbol not in spec.symbols:
-                raise FsmError(f"input position {i}: undeclared symbol {symbol!r}")
-            state = spec.transitions[(state, symbol)]
+        for symbol in input_symbols:
+            state = rows[state][symbol]
     except KeyError:
+        if symbol not in declared:
+            position = list(input_symbols).index(symbol)
+            raise FsmError(f"input position {position}: undeclared symbol {symbol!r}") from None
         # a hand-built spec whose table is not total, as compile_fsm reports it
         raise FsmError(f"no transition for ({state!r}, {symbol!r})") from None
     return state

@@ -156,8 +156,8 @@ def validate_fsm(spec: FsmSpec) -> list[str]:
             v.append(f"transition on undeclared pair ({state!r}, {symbol!r})")
         if new not in declared_states:
             v.append(f"transition ({state!r}, {symbol!r}) to undeclared state {new!r}")
-    for state in spec.states:
-        for symbol in spec.symbols:
+    for state in dict.fromkeys(spec.states):
+        for symbol in dict.fromkeys(spec.symbols):
             if (state, symbol) not in spec.transitions:
                 v.append(f"missing transition for ({state!r}, {symbol!r})")
     return v

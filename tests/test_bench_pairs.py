@@ -1,7 +1,12 @@
 """The pair driver's summary maths, on made-up runs, and its handling of a
-failed run, on a stub checkout (no benchmark is run)."""
+failed run and of SIGTERM, on stub checkouts (no benchmark is run)."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,3 +171,57 @@ def test_failed_run_is_reported_not_swallowed(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "long_tape seed=7 pair=1 parent: perfbench/run.py exited 3"
     assert err[1:] == [f"trace line {i}" for i in range(10, 30)]
+
+
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=repo, capture_output=True, text=True, check=True).stdout
+
+
+def worktrees(repo: Path) -> list[str]:
+    return [line for line in _git(repo, "worktree", "list", "--porcelain").splitlines()
+            if line.startswith("worktree ")]
+
+
+def test_sigterm_removes_the_worktrees_and_kills_the_run(tmp_path):
+    """A pair run stopped by SIGTERM while a benchmark run blocks leaves no
+    checkout in ``git worktree list`` and no benchmark process behind."""
+    repo, pid_file = tmp_path / "repo", tmp_path / "run.pid"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "src").mkdir()
+    (repo / "src" / "keep").write_text("", encoding="utf-8")
+    (repo / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "workloads": [{"name": "stub"}], "end_to_end": []}',
+        encoding="utf-8")
+    (repo / "perfbench" / "run.py").write_text(
+        "import os, time\n"
+        "open(os.environ['STUB_PID_FILE'], 'w').write(str(os.getpid()))\n"
+        "time.sleep(60)\n",
+        encoding="utf-8")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "stub")
+    driver = subprocess.Popen(
+        [sys.executable, "-c",
+         "import importlib.util, sys\n"
+         f"spec = importlib.util.spec_from_file_location('bench_pairs', {str(_PATH)!r})\n"
+         "bench_pairs = importlib.util.module_from_spec(spec)\n"
+         "spec.loader.exec_module(bench_pairs)\n"
+         f"bench_pairs.ROOT = bench_pairs.Path({str(repo)!r})\n"
+         "sys.exit(bench_pairs.main(['--parent', 'HEAD', '--change', 'HEAD',\n"
+         f"                           '--out', {str(tmp_path / 'out.json')!r}]))\n"],
+        env=dict(os.environ, STUB_PID_FILE=str(pid_file)))
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert driver.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        assert len(worktrees(repo)) == 3
+        driver.send_signal(signal.SIGTERM)
+        assert driver.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        driver.kill()
+    assert worktrees(repo) == [f"worktree {repo.resolve()}"]
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+    assert not (tmp_path / "out.json").exists()

@@ -164,6 +164,23 @@ class TestOracle:
             fsm_oracle(spec, "xy")
         assert str(info.value) == "no transition for ('S', 'y')"
 
+    def test_undeclared_symbol_names_its_position(self, parity):
+        with pytest.raises(FsmError) as info:
+            fsm_oracle(parity, "01x1")
+        assert str(info.value) == "input position 2: undeclared symbol 'x'"
+
+    def test_undeclared_symbol_in_a_state_with_no_row(self):
+        # the undeclared initial state has no transitions, so no symbol is
+        # found; an undeclared one is still reported as undeclared
+        spec = FsmSpec(symbols=("0",), states=("S",), transitions={("S", "0"): "S"},
+                       initial_state="Z")
+        with pytest.raises(FsmError) as info:
+            fsm_oracle(spec, ["x"])
+        assert str(info.value) == "input position 0: undeclared symbol 'x'"
+        with pytest.raises(FsmError) as info:
+            fsm_oracle(spec, ["0"])
+        assert str(info.value) == "no transition for ('Z', '0')"
+
 
 class TestAgreement:
     @given(st.text(alphabet="01", max_size=64))
@@ -305,3 +322,74 @@ class TestDifferential:
         # or an unnamed deposit leaves a symbol that no tRNA matches
         assert FsmError in raised
         assert (FsmCompileCorruption in raised) == (kind in ("dropped", "unnamed-deposit"))
+
+
+def reference_oracle(spec, input_symbols):
+    """The reference walk as it ran before it read each symbol from a resolved
+    row: a membership test and a pair lookup per symbol."""
+    state = spec.initial_state
+    try:
+        for i, symbol in enumerate(input_symbols):
+            if symbol not in spec.symbols:
+                raise FsmError(f"input position {i}: undeclared symbol {symbol!r}")
+            state = spec.transitions[(state, symbol)]
+    except KeyError:
+        raise FsmError(f"no transition for ({state!r}, {symbol!r})") from None
+    return state
+
+
+# names a hand-built spec may use without declaring them; the one-character
+# alphabets spell inputs as str, the others as lists
+CHAR_SYMBOLS, CHAR_UNDECLARED = ("0", "1", "a", "b"), ("x", "?")
+STRAY_STATES = ("Z", "dead")
+
+
+def hand_built_fsm(rng: random.Random, symbol_names, undeclared) -> FsmSpec:
+    """An FsmSpec as a caller may build it without the parser: a table that
+    need not be total, with transitions to and from undeclared states and on
+    undeclared symbols, and an initial state that may be undeclared."""
+    states = tuple(rng.sample(STATE_NAMES, rng.randint(1, 4)))
+    symbols = tuple(rng.sample(symbol_names, rng.randint(1, len(symbol_names))))
+    targets = states + STRAY_STATES
+    total = rng.random() < 0.3
+    transitions = {(q, s): rng.choice(targets if rng.random() < 0.2 else states)
+                   for q in states + STRAY_STATES for s in symbols + undeclared
+                   if (q in states and s in symbols and (total or rng.random() < 0.8))
+                   or rng.random() < 0.1}
+    initial = rng.choice(targets if rng.random() < 0.1 else states)
+    return FsmSpec(symbols, states, transitions, initial)
+
+
+def hand_built_input(spec: FsmSpec, rng: random.Random, undeclared) -> list[str]:
+    """Declared symbols, with an undeclared one at a drawn position in about
+    half the inputs, repeated later in about half of those."""
+    symbols = rng.choices(spec.symbols, k=rng.randint(0, 12))
+    if rng.random() < 0.5:
+        stray = rng.choice(undeclared)
+        at = rng.randint(0, len(symbols))
+        symbols.insert(at, stray)
+        if rng.random() < 0.5:
+            symbols.insert(rng.randint(at + 1, len(symbols)), stray)
+    return symbols
+
+
+class TestOracleDifferential:
+    """fsm_oracle against the walk it replaced, on hand-built specs: the same
+    final state, or an FsmError with the same message."""
+
+    @pytest.mark.parametrize("as_text", [True, False], ids=["str", "list"])
+    def test_matches_the_reference_walk(self, as_text):
+        names = (CHAR_SYMBOLS, CHAR_UNDECLARED) if as_text else (SYMBOL_NAMES, UNDECLARED)
+        rng = random.Random(f"fsm-oracle-differential-{as_text}")
+        seen = set()
+        for _ in range(1500):
+            spec = hand_built_fsm(rng, *names)
+            symbols = hand_built_input(spec, rng, names[1])
+            if as_text:
+                symbols = "".join(symbols)
+            got = outcome(fsm_oracle, spec, symbols)
+            assert got == outcome(reference_oracle, spec, symbols), (spec, symbols)
+            seen.add(got[1].split(" ")[0] if isinstance(got, tuple) else "state")
+        # every outcome is drawn: a final state, an undeclared symbol and a
+        # missing transition
+        assert seen == {"state", "input", "no"}

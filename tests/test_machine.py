@@ -366,6 +366,19 @@ class TestFsmParse:
             parse_fsm_spec(text)
         assert info.value.violations == violations
 
+    def test_a_missing_transition_is_reported_once(self):
+        """Each missing pair once, in declared order, however often its state
+        or symbol is declared."""
+        text = (PARITY_TEXT.replace("symbols: 0 1\nstates: A B", "symbols: 0 1 0\nstates: A B A")
+                .replace("fsm-rule: A 0 A\n", ""))
+        with pytest.raises(SpecValidationError) as info:
+            parse_fsm_spec(text)
+        assert info.value.violations == [
+            "duplicate symbol declaration",
+            "duplicate state declaration",
+            "missing transition for ('A', '0')",
+        ]
+
     def test_duplicate_fsm_rule(self):
         text = PARITY_TEXT.replace(
             "fsm-rule: A 0 A\n", "fsm-rule: A 0 A\nfsm-rule: A 0 B\n"

@@ -14,7 +14,8 @@ so both sides compile the package from source on every import: a ``.pyc``
 cache on one side only moves ``setup_s`` about 2x and ``peak_rss_mb`` by
 1-2 MB. A run that exits non-zero stops the pair run: the tool prints the
 workload, seed, pair, side and exit code with the last lines of that run's
-stderr, removes the worktrees and exits 1.
+stderr, removes the worktrees and exits 1. A pair run stopped by SIGTERM
+removes them too and exits 143, and the running benchmark is killed.
 
 The JSON written to ``--out`` names both commits and the git tree of each
 one's ``src/``, so the timed code can be matched to a later commit by
@@ -59,6 +60,7 @@ import json
 import os
 import platform
 import random
+import signal
 import statistics
 import subprocess
 import sys
@@ -293,6 +295,12 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
     }
 
 
+def _exit_on_sigterm(signum, frame):
+    # raised in the main thread, so the worktree cleanup's ``finally`` runs and
+    # ``subprocess.run`` kills the benchmark it is waiting on
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1", help="parent commit (default HEAD~1)")
@@ -314,6 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     src_trees = {side: _git("rev-parse", f"{rev}:src") for side, rev in revs.items()}
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in revs}
         try:
