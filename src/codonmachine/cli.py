@@ -8,13 +8,17 @@ Subcommands and the options each takes:
   [--format]`` -- execute mechanically, print the trace and final state
 * ``verify SPEC [--codec] [--mode] [--max-steps] [--format]`` --
   lockstep-check the mechanical run against the classical interpreter
-* ``fsm SPEC INPUT [--codec]`` -- run an FSM spec over an input string
+* ``fsm SPEC INPUT [--codec]`` -- run an FSM spec over an input string, read
+  as a ``tape:`` value is, and by tokens whenever a symbol name is longer
+  than one character
 * ``corpus [NAME] [--part]`` -- list bundled machines or print one's
   spec/codec text
 
 Each option is declared once, in a parent parser shared by the commands that
 take it, and every command that reads a machine loads it through ``_load``,
 which rejects a --max-steps below 1 before it reads anything.
+
+``--seed`` keys stochastic arrival; without it a run prints what ``--seed 0`` does.
 
 SPEC is a bundled machine name or a path to a spec file. Bundled machines use
 their bundled codec automatically; ``--codec`` points at an override file.
@@ -36,7 +40,7 @@ import sys
 from .codec import Codec, CodecError, build_codec, parse_codec_overrides
 from .corpus import builtin_corpus, corpus_codec_text, corpus_overrides, corpus_spec_text
 from .fsm import FsmError, fsm_run
-from .machine import FsmSpec, MachineSpec, SpecError, parse_spec
+from .machine import FsmSpec, MachineSpec, SpecError, parse_spec, split_names
 from .oracle import bisimulate
 from .sim import DEFAULT_MAX_STEPS, Arrival, NondeterminismFault, Outcome, iter_run, new_sim
 from .tape import decode_tape, encode_tape
@@ -191,11 +195,7 @@ def cmd_verify(args) -> int:
 
 def cmd_fsm(args) -> int:
     spec, codec = _load(args, FsmSpec)
-    text = args.input
-    if any(len(s) > 1 for s in spec.symbols):
-        symbols = text.split()
-    else:
-        symbols = list(text)
+    symbols = split_names(args.input, any(len(s) > 1 for s in spec.symbols))
     try:
         final, trace = fsm_run(spec, symbols, codec)
     except FsmError as e:
@@ -250,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     arrival = argparse.ArgumentParser(add_help=False)
     arrival.add_argument("--arrival", choices=["deterministic", "stochastic"],
                          default="deterministic")
-    arrival.add_argument("--seed", type=int, default=None, help="stochastic arrival seed")
+    arrival.add_argument("--seed", type=int, default=0,
+                         help="stochastic arrival seed (default: 0)")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     budget.add_argument("--format", choices=["text", "structured"], default="text")

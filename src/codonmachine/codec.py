@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .machine import FsmSpec, MachineSpec
+from .machine import FsmSpec, MachineSpec, _name
 
 
 class CodecError(ValueError):
@@ -94,7 +94,8 @@ def parse_codec_overrides(text: str) -> CodecOverrides:
 
     Lines: ``symbol <name> <bits>``, ``state <name> <bits>``,
     ``symbol-len <n>``, ``state-len <n>``; each length and each name is
-    given at most once. Blank lines are ignored.
+    given at most once. A name is read through the spec's ``delta`` alias, so
+    ``symbol delta`` overrides ``δ``. Blank lines are ignored.
     """
     lengths: dict[str, int] = {}
     symbols: dict[str, str] = {}
@@ -112,7 +113,7 @@ def parse_codec_overrides(text: str) -> CodecOverrides:
                 raise CodecError(f"line {line_no}: bad length {tokens[1]!r}")
             target, name = lengths, kind
         elif kind in ("symbol", "state") and len(tokens) == 3:
-            name, value = tokens[1], tokens[2]
+            name, value = _name(tokens[1]), tokens[2]
             if not value or set(value) - {"0", "1"}:
                 raise CodecError(f"line {line_no}: bad codon {value!r}")
             target = symbols if kind == "symbol" else states

@@ -19,8 +19,8 @@ first occurrence in the input.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Sequence
 
 from .codec import Codec, read_form
 from .machine import FsmSpec
@@ -67,17 +67,21 @@ def compile_fsm(spec: FsmSpec, codec: Codec) -> list[FsmTrna]:
     return out
 
 
-def fsm_oracle(spec: FsmSpec, input_symbols: Sequence[str]) -> str:
+def fsm_oracle(spec: FsmSpec, input_symbols: Iterable[str]) -> str:
     """Ground truth: walk the transition map directly, by name, no codons.
 
     The map is resolved once into ``{state: {symbol: next state}}``: declared
     symbols only, under every state the map leaves on one, declared or not, so
     a symbol costs one chained subscript. A state with no row fails its next
     lookup as a missing pair would. A failed lookup is diagnosed after the loop
-    stops: an undeclared symbol first, at ``list(input_symbols).index(symbol)``,
+    stops: an undeclared symbol first, at ``input_symbols.index(symbol)``,
     which is exact because every earlier symbol was found in a row and so was
-    declared; otherwise the table lacks the pair.
+    declared; otherwise the table lacks the pair. An input that is not a
+    ``str``, list or tuple, such as an iterator, is read into a list first, so
+    the diagnosis can read it again.
     """
+    if not isinstance(input_symbols, (str, list, tuple)):
+        input_symbols = list(input_symbols)
     declared = set(spec.symbols)
     rows: dict[str, dict[str, str]] = {}
     for (state, symbol), new in spec.transitions.items():
@@ -89,7 +93,7 @@ def fsm_oracle(spec: FsmSpec, input_symbols: Sequence[str]) -> str:
             state = rows[state][symbol]
     except KeyError:
         if symbol not in declared:
-            position = list(input_symbols).index(symbol)
+            position = input_symbols.index(symbol)
             raise FsmError(f"input position {position}: undeclared symbol {symbol!r}") from None
         # a hand-built spec whose table is not total, as compile_fsm reports it
         raise FsmError(f"no transition for ({state!r}, {symbol!r})") from None
@@ -97,7 +101,7 @@ def fsm_oracle(spec: FsmSpec, input_symbols: Sequence[str]) -> str:
 
 
 def fsm_run(
-    spec: FsmSpec, input_symbols: Sequence[str], codec: Codec
+    spec: FsmSpec, input_symbols: Iterable[str], codec: Codec
 ) -> tuple[str, list[int]]:
     """Run the compiled stream engine; returns the final state and the rule id
     fired on each input symbol, in input order.

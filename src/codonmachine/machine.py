@@ -163,12 +163,20 @@ def validate_fsm(spec: FsmSpec) -> list[str]:
     return v
 
 
+def split_names(value: str, separated: bool = False) -> tuple[str, ...]:
+    """``value`` as a row of names, each read through the ``delta`` alias: its
+    whitespace-separated tokens when it holds whitespace or ``separated`` is
+    set, else one name per character. A ``tape:`` value and ``fsm``'s input
+    are both read so."""
+    if separated or any(c.isspace() for c in value):
+        return tuple(_name(t) for t in value.split())
+    return tuple(_name(c) for c in value)
+
+
 def _split_tape(value: str, line_no: int) -> tuple[str, ...]:
     if not value:
         raise SpecSyntaxError("empty tape", line_no)
-    if any(c.isspace() for c in value):
-        return tuple(_name(t) for t in value.split())
-    return tuple(_name(c) for c in value)
+    return split_names(value)
 
 
 def _parse_directives(text: str) -> list[tuple[int, str, str]]:

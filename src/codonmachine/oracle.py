@@ -20,7 +20,7 @@ classical tape records. Names are looked up only to report a divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import Codec, build_codec
 from .machine import MachineSpec, Move
@@ -37,9 +37,9 @@ class ClassicalConfig:
     cell when ``base`` is empty), then from ``base`` (cells 0 onwards), then
     as the default symbol."""
 
-    symbols: dict[int, str] = field(default_factory=dict)
-    state: str | None = None
-    head: int = 0
+    symbols: dict[int, str]
+    state: str | None
+    head: int
     base: tuple[str, ...] = ()
 
     def symbol_at(self, p: int, default: str) -> str:
@@ -113,12 +113,9 @@ class TmRunResult:
     min_pos: int
     max_pos: int
 
-    def tape_string(self, spec: MachineSpec, lo: int | None = None, hi: int | None = None) -> str:
-        lo = self.min_pos if lo is None else lo
-        hi = self.max_pos if hi is None else hi
-        return "".join(
-            self.config.symbols.get(p, spec.default_symbol) for p in range(lo, hi + 1)
-        )
+    def tape_string(self, spec: MachineSpec) -> str:
+        return "".join(self.config.symbols.get(p, spec.default_symbol)
+                       for p in range(self.min_pos, self.max_pos + 1))
 
 
 def tm_run(spec: MachineSpec, max_steps: int = DEFAULT_MAX_STEPS) -> TmRunResult:

@@ -22,15 +22,15 @@ position of the match) or stochastic (sample read rows uniformly with
 replacement until the match arrives, trials = number of draws). The sampling
 pool is the individual read rows, so a dual-compiled ruleset of 25 records
 offers 50 arrivals. The number of draws is Geometric(1/pool), so it is taken
-in one inverse-CDF draw rather than by drawing rows one by one; a seeded run
-keys each step's uniform on (seed, step count), so ``step`` stays pure; from
-step 1,000,003 on, where seed s's key would be seed s + 1's, it mixes the seed.
+in one inverse-CDF draw rather than by drawing rows one by one. Every
+stochastic run keys each step's uniform on (seed, step count), and an instance
+built without a seed uses seed 0, so ``step`` stays pure; from step 1,000,003
+on, where seed s's key would be seed s + 1's, the key mixes the seed.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -117,7 +117,7 @@ class SimInstance:
     tape: EncodedTape
     trnas: tuple[Trna, ...]
     default_codon: str
-    rng_seed: int | None = None
+    rng_seed: int | None = 0
     step_count: int = 0
     trial_count: int = 0
     halted: bool = False
@@ -141,12 +141,13 @@ def new_sim(
     spec: MachineSpec,
     codec: Codec,
     mode: CompileMode = CompileMode.DUAL,
-    rng_seed: int | None = None,
+    rng_seed: int | None = 0,
     trnas: list[Trna] | None = None,
 ) -> SimInstance:
     """Compile and encode a machine into a runnable instance.
 
-    ``trnas`` overrides the compiled ruleset (fault injection, tests).
+    ``rng_seed`` keys stochastic arrival; deterministic arrival never reads
+    it. ``trnas`` overrides the compiled ruleset (fault injection, tests).
     """
     if trnas is None:
         trnas = compile_ruleset(spec, codec, mode)
@@ -160,9 +161,9 @@ def new_sim(
 
 
 def match_window(trna: Trna, window: Window) -> Side | None:
-    """The side whose read row equals the window's fieldwise complement."""
-    key = tuple(map(read_form, window))
-    return next((side for side, row in trna.reads if row == key), None)
+    """The side of the read row of ``trna`` that ``WindowIndex`` matches to ``window``."""
+    found = WindowIndex((trna,)).match(tuple(window))
+    return None if found is None else found[2]
 
 
 _new, _set = object.__new__, object.__setattr__
@@ -212,9 +213,7 @@ def _stochastic_trials(sim: SimInstance) -> int:
     if pool <= 1:
         return 1
     seed, step = sim.rng_seed, sim.step_count
-    if seed is None:
-        u = random.random()
-    elif step < _STRIDE:
+    if step < _STRIDE:
         u = _uniform(seed * _STRIDE + step)
     else:
         u = _uniform(int(_uniform(seed) * 2.0**64) + step)

@@ -23,13 +23,13 @@ strand, and ``grow`` the edge the window is not on, so a move past an edge
 grows that edge first. Costs, for a tape of n cells:
 
 * O(1): ``write``, ``grow``, ``window_triple``, ``window``, ``origin``,
-  ``cell_count``, ``window_abs``, and ``triple_at`` for the window and a
-  neighbour a move has reached; ``symbol_cells`` and ``state_slots`` of a
+  ``cell_count``, ``window_abs``, and ``triple_at`` for a neighbour of the
+  window that a move has reached; ``symbol_cells`` and ``state_slots`` of a
   tape no move has made, which are its rows;
 * O(n) per call, nothing cached: the rest. Both rows of a moved tape come
   from one splice of the built rows and one walk of each stack, which
   ``symbol_cells``, ``state_slots``, ``decode_tape``, equality, hashing and
-  ``triple_at`` elsewhere read; ``fields`` interleaves them on each read,
+  ``triple_at`` anywhere else read; ``fields`` interleaves them on each read,
   for ``render``, ``repr`` and pickling.
 
 Rendered form: all fields joined with underscores, e.g.
@@ -123,14 +123,13 @@ class EncodedTape:
 
     def triple_at(self, pos: int) -> tuple[str, str, str]:
         """The cell at absolute position ``pos`` between the slots on either
-        side of it: O(1) for the window and the cells next to it that a move
-        has reached, read from the spliced rows elsewhere. A position off the
+        side of it: O(1) for a cell next to the window that a move has
+        reached, read from the spliced rows elsewhere, the window's own cell
+        included (``window_triple`` reads that in O(1)). A position off the
         strand raises IndexError."""
         triple, left, right, _, _, _ = self._zipper
         cell = pos - self._origin
         offset = cell - self._window
-        if offset == 0:
-            return triple
         if offset == -1 and left is not None:
             return left[1], left[0], triple[0]
         if offset == 1 and right is not None:
@@ -218,7 +217,7 @@ class DecodedConfig:
     symbols: tuple[str, ...]
     state: str | None
     head: int | None
-    origin: int = 0
+    origin: int
 
     @property
     def head_abs(self) -> int | None:

@@ -128,6 +128,13 @@ class TestCompile:
         assert code == 0
         assert out == (GOLDEN / "utm55_compile.txt").read_text(encoding="utf-8")
 
+    def test_codec_file_reads_the_delta_alias(self, capsys, tmp_path):
+        codec = tmp_path / "utm.codec"
+        codec.write_text(UTM55_CODEC_TEXT.replace("symbol δ", "symbol delta"), encoding="utf-8")
+        assert "symbol delta 010011" in codec.read_text(encoding="utf-8")
+        assert run_cli(capsys, "verify", "utm55", "--codec", str(codec)) == (
+            0, (GOLDEN / "cli" / "verify_utm55.txt").read_text(encoding="utf-8"), "")
+
     def test_inferred_warns_of_a_state_never_entered(self, capsys, tmp_path):
         spec = tmp_path / "unentered.spec"
         spec.write_text(
@@ -164,6 +171,10 @@ class TestRun:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_unseeded_stochastic_run_is_seed_zeros(self, capsys):
+        args = ("run", "utm55", "--arrival", "stochastic")
+        assert run_cli(capsys, *args) == run_cli(capsys, *args, "--seed", "0")
 
     def test_nondeterminism_fault_exits_four_after_the_trace_so_far(self, capsys, monkeypatch):
         """A twin of the last rule to fire for the first time clashes on its
@@ -304,7 +315,7 @@ OPTION_TABLES = {
         **_SOURCE,
         **_MODE,
         "arrival": (("--arrival",), "deterministic", ("deterministic", "stochastic"), None, None),
-        "seed": (("--seed",), None, None, int, None),
+        "seed": (("--seed",), 0, None, int, None),
         **_BUDGET,
     },
     "verify": {**_SOURCE, **_MODE, **_BUDGET},
@@ -379,6 +390,19 @@ class TestFsm:
         assert out.splitlines() == [
             "0: one -> rule 2", "1: zero -> rule 3", "2: one -> rule 4", "final: A"
         ]
+
+    def test_single_character_symbols_split_on_whitespace(self, capsys):
+        assert run_cli(capsys, "fsm", "parity", " 1 1\t0 ") == run_cli(capsys, "fsm", "parity", "110")
+
+    def test_input_reads_the_delta_alias(self, capsys):
+        spec = str(GOLDEN / "cli" / "delta.fsm")
+        code, out, _ = run_cli(capsys, "fsm", spec, "delta δ 0")
+        assert code == 0
+        assert out.splitlines() == ["0: δ -> rule 2", "1: δ -> rule 4", "2: 0 -> rule 1",
+                                    "final: A"]
+        # without whitespace, one symbol per character: "delta" is five names
+        code, _, err = run_cli(capsys, "fsm", spec, "delta")
+        assert (code, err) == (1, "error: input position 0: undeclared symbol 'd'\n")
 
     def test_undeclared_symbol_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "fsm", "parity", "12")

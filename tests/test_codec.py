@@ -428,6 +428,12 @@ class TestParseOverrides:
         with pytest.raises(CodecError, match="bad codon"):
             parse_codec_overrides("symbol x 01e1\n")
 
+    def test_names_read_the_delta_alias(self):
+        ov = parse_codec_overrides("symbol delta 010011\nstate delta 0011\n")
+        assert (ov.symbols, ov.states) == ({"δ": "010011"}, {"δ": "0011"})
+        with pytest.raises(CodecError, match="duplicate override for 'δ'"):
+            parse_codec_overrides("symbol δ 010011\nsymbol delta 001011\n")
+
     def test_duplicate(self):
         with pytest.raises(CodecError, match="duplicate"):
             parse_codec_overrides("symbol x 01\nsymbol x 10\n")

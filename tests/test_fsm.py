@@ -169,6 +169,13 @@ class TestOracle:
             fsm_oracle(parity, "01x1")
         assert str(info.value) == "input position 2: undeclared symbol 'x'"
 
+    def test_an_iterator_is_read_as_the_engine_reads_it(self, parity, parity_codec):
+        assert fsm_oracle(parity, iter("0110")) == fsm_run(parity, iter("0110"), parity_codec)[0]
+        for run in (fsm_oracle, lambda spec, symbols: fsm_run(spec, symbols, parity_codec)):
+            with pytest.raises(FsmError) as info:
+                run(parity, (symbol for symbol in "01x1"))
+            assert str(info.value) == "input position 2: undeclared symbol 'x'"
+
     def test_undeclared_symbol_in_a_state_with_no_row(self):
         # the undeclared initial state has no transitions, so no symbol is
         # found; an undeclared one is still reported as undeclared
@@ -389,6 +396,7 @@ class TestOracleDifferential:
                 symbols = "".join(symbols)
             got = outcome(fsm_oracle, spec, symbols)
             assert got == outcome(reference_oracle, spec, symbols), (spec, symbols)
+            assert outcome(fsm_oracle, spec, iter(symbols)) == got, (spec, symbols)
             seen.add(got[1].split(" ")[0] if isinstance(got, tuple) else "state")
         # every outcome is drawn: a final state, an undeclared symbol and a
         # missing transition

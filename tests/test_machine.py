@@ -23,6 +23,7 @@ from codonmachine.corpus import (
     PARITY_TEXT,
     UNARY_ADDER_TEXT,
 )
+from codonmachine.machine import split_names
 
 from conftest import random_partial_machine
 
@@ -333,6 +334,27 @@ class TestRoundTrip:
         assert validate(spec) == []
         with pytest.raises(SpecValidationError, match=r"tape \('11',\)"):
             serialize_machine_spec(spec)
+
+
+
+class TestSplitNames:
+    """One rule reads a ``tape:`` value and ``fsm``'s input."""
+
+    @pytest.mark.parametrize("value, separated, names", [
+        ("0δ1", False, ("0", "δ", "1")),
+        ("delta", False, ("d", "e", "l", "t", "a")),
+        (" 0 delta\t1 ", False, ("0", "δ", "1")),
+        ("one delta", True, ("one", "δ")),
+        ("delta", True, ("δ",)),
+        ("", False, ()),
+    ])
+    def test_split(self, value, separated, names):
+        assert split_names(value, separated) == names
+
+    def test_a_tape_reads_the_same_rule(self):
+        spec = parse_machine_spec("symbols: 0 δ\nstates: q1\nrule: q1 0 δ H -\ndefault: 0\n"
+                                  "initial: q1\ntape: 0 delta δ\nhead: 0\n")
+        assert spec.tape == split_names("0 delta δ") == ("0", "δ", "δ")
 
 
 class TestFsmParse:

@@ -128,7 +128,8 @@ class TestTmRun:
         r = tm_run(adder)
         assert r.outcome is Outcome.HALTED
         assert r.steps == 6
-        assert r.tape_string(adder, 0, 5) == "001110"
+        assert (r.min_pos, r.max_pos) == (0, 5)
+        assert r.tape_string(adder) == "001110"
 
     def test_incrementer_frozen_golden(self, corpus):
         inc = corpus["incrementer"]

@@ -6,6 +6,7 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -147,6 +148,14 @@ class TestStep:
         seqs = {tuple(trial_seq(s)) for s in range(12)}
         assert len(seqs) > 1
 
+    def test_an_unseeded_run_draws_seed_zeros_stream(self, utm, utm_codec):
+        def trials(**seed):
+            _, trace, _ = run(new_sim(utm, utm_codec, **seed), arrival=Arrival.STOCHASTIC)
+            return [e.trials for e in trace]
+
+        # keyed, not drawn from a global stream: two unseeded runs agree
+        assert trials() == trials() == trials(rng_seed=0)
+
     def test_deterministic_and_stochastic_agree_on_rules(self, utm, utm_codec):
         def rule_seq(arrival, seed=None):
             sim = new_sim(utm, utm_codec, CompileMode.DUAL, rng_seed=seed)
@@ -217,6 +226,50 @@ class TestSeededDraws:
             u = sim_module._uniform(seed * 1_000_003 + k)
             want = 1 + int(math.log(1.0 - u) / math.log1p(-1.0 / self.POOL))
             assert self.trials(seed, k) == want, k
+
+
+class TestStochasticFit:
+    """Stochastic arrival's per-step trials over consecutive seeds 0..N-1 fit
+    Geometric(1/pool): a chi-square test over 10 bins cut at the geometric
+    deciles, with each bin's exact expected count, at chi-square(9)'s 0.999
+    quantile. N is fixed per machine, so each sample is the same every run."""
+
+    CHI2_9_999 = 27.88
+
+    @staticmethod
+    def decile_bins(pool):
+        """The upper trial count of each bin but the last, and each bin's
+        exact probability: the smallest k whose CDF 1 - (1 - 1/pool)^k
+        reaches each decile."""
+        q = 1 - Fraction(1, pool)
+        uppers, k = [], 0
+        for d in range(1, 10):
+            while 1 - q**k < Fraction(d, 10):
+                k += 1
+            uppers.append(k)
+        cdf = [0, *(1 - q**k for k in uppers), 1]
+        return uppers, [b - a for a, b in zip(cdf, cdf[1:])]
+
+    @pytest.mark.parametrize("name, mode, pool, seeds", [
+        ("utm55", CompileMode.DUAL, 50, 200),
+        ("incrementer", CompileMode.INFERRED, 9, 1000),
+    ])
+    def test_trials_fit_the_geometric(self, corpus, name, mode, pool, seeds):
+        start = new_sim(corpus[name], corpus_codec(name), mode)
+        assert start.index.pool == pool
+        counts = Counter()
+        for seed in range(seeds):
+            _, trace, _ = run(dataclasses.replace(start, rng_seed=seed), arrival=Arrival.STOCHASTIC)
+            counts.update(e.trials for e in trace)
+        uppers, probs = self.decile_bins(pool)
+        assert len(set(uppers)) == 9  # ten bins, none empty by construction
+        edges = [0, *uppers, max(counts)]
+        observed = [sum(counts[k] for k in range(lo + 1, hi + 1))
+                    for lo, hi in zip(edges, edges[1:])]
+        n = sum(counts.values())
+        assert sum(observed) == n
+        chi2 = sum((o - n * p) ** 2 / (n * p) for o, p in zip(observed, probs))
+        assert chi2 < self.CHI2_9_999, (observed, [float(n * p) for p in probs], float(chi2))
 
 
 class TestRun:
