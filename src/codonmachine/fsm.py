@@ -7,8 +7,10 @@ there is no halt state.
 
 Each run resolves that match once, up front, into one row per state codon the
 run can hold (the initial codon and every deposit): the row maps each input
-symbol to the rule id that fires and the codon it deposits. A symbol then
-costs two dict subscripts, and a failed one is diagnosed after the loop stops.
+symbol to the rule id that fires and the row of the codon it deposits. A
+symbol then costs one dict subscript, and a failed one is diagnosed after the
+loop stops. Rows that lead to each other form a reference cycle, so each run
+unlinks them before it returns or raises, and refcounting frees its table.
 
 The reference, ``fsm_oracle``, walks the transition map by name and shares no
 code with the engine's codon table. It too resolves the map once, into one row
@@ -106,42 +108,50 @@ def fsm_run(
     """Run the compiled stream engine; returns the final state and the rule id
     fired on each input symbol, in input order.
 
-    The match is resolved into ``{state codon: {symbol: (rule id, deposited
-    state codon)}}`` before the first symbol: each tRNA is keyed on the write
-    forms its two match fields lock onto (a later tRNA on the same key wins),
-    composed with ``codec.symbol_write``. A symbol with no codon raises
-    ``FsmError``; a symbol whose codon no tRNA matches in the current state
-    raises ``FsmCompileCorruption``, as does a final codon that names no state.
+    The match is resolved into linked rows before the first symbol, one
+    ``{symbol: (rule id, row)}`` per state codon the run can hold: each tRNA
+    is keyed on the write forms its two match fields lock onto (a later tRNA
+    on the same key wins), composed with ``codec.symbol_write``, and each
+    entry holds the row of the codon it deposits. The rows are cleared before
+    the call returns or raises, because an FSM with a cycle links them into a
+    reference cycle that only the cyclic collector would free. A symbol with
+    no codon raises ``FsmError``; a symbol whose codon no tRNA matches in the
+    current state raises ``FsmCompileCorruption``, as does a final codon that
+    names no state.
     """
     by_match = {
         (read_form(t.state_match), read_form(t.symbol_match)): (t.rule_id, t.new_state)
         for t in compile_fsm(spec, codec)
     }
     symbol_write = codec.symbol_write
-    state_codon = codec.state_write[spec.initial_state]
-    table = {
-        row: {
-            symbol: by_match[(row, codon)]
-            for symbol, codon in symbol_write.items()
-            if (row, codon) in by_match
-        }
-        for row in {state_codon, *(deposit for _, deposit in by_match.values())}
-    }
+    initial = codec.state_write[spec.initial_state]
+    rows = {codon: {} for codon in (initial, *(deposit for _, deposit in by_match.values()))}
+    for state_codon, entries in rows.items():
+        for symbol, codon in symbol_write.items():
+            if (state_codon, codon) in by_match:
+                rule_id, deposit = by_match[(state_codon, codon)]
+                entries[symbol] = (rule_id, rows[deposit])
+    codon_of = {id(entries): state_codon for state_codon, entries in rows.items()}
+    row = rows[initial]
     trace: list[int] = []
     append = trace.append
     try:
         for symbol in input_symbols:
-            rule_id, state_codon = table[state_codon][symbol]
+            rule_id, row = row[symbol]
             append(rule_id)
     except KeyError:
-        # the symbol that stopped the loop, read in the state it was read in
+        # the symbol that stopped the loop, read in the row it was read in
         if symbol not in symbol_write:
             raise FsmError(
                 f"input position {len(trace)}: undeclared symbol {symbol!r}"
             ) from None
         raise FsmCompileCorruption(
-            f"no tRNA matched state codon {state_codon} on {symbol!r}"
+            f"no tRNA matched state codon {codon_of[id(row)]} on {symbol!r}"
         ) from None
+    finally:
+        for entries in rows.values():
+            entries.clear()
+    state_codon = codon_of[id(row)]
     name = codec.state_name(state_codon)
     if name is None:
         raise FsmCompileCorruption(f"final codon {state_codon} names no state")

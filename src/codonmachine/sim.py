@@ -125,6 +125,8 @@ class SimInstance:
     index: WindowIndex | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.rng_seed is None:  # no seed is seed 0, so a stochastic step reads an int
+            object.__setattr__(self, "rng_seed", 0)
         if self.index is None or self.index.trnas is not self.trnas:
             object.__setattr__(self, "index", WindowIndex(self.trnas))
 
@@ -146,8 +148,9 @@ def new_sim(
 ) -> SimInstance:
     """Compile and encode a machine into a runnable instance.
 
-    ``rng_seed`` keys stochastic arrival; deterministic arrival never reads
-    it. ``trnas`` overrides the compiled ruleset (fault injection, tests).
+    ``rng_seed`` keys stochastic arrival, with ``None`` read as seed 0;
+    deterministic arrival never reads it. ``trnas`` overrides the compiled
+    ruleset (fault injection, tests).
     """
     if trnas is None:
         trnas = compile_ruleset(spec, codec, mode)

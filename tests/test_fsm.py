@@ -324,11 +324,42 @@ class TestDifferential:
                 got = outcome(fsm_run, spec, symbols, codec)
                 assert got == outcome(reference_run, spec, symbols, codec, trnas), (
                     spec, codec, trnas, symbols)
+                assert outcome(fsm_run, spec, iter(symbols), codec) == got, (
+                    spec, codec, trnas, symbols)
                 raised.add(got[0] if isinstance(got[0], type) else None)
         # every kind reaches the undeclared-symbol error; only a dropped tRNA
         # or an unnamed deposit leaves a symbol that no tRNA matches
         assert FsmError in raised
         assert (FsmCompileCorruption in raised) == (kind in ("dropped", "unnamed-deposit"))
+
+
+def test_a_run_leaves_no_cyclic_garbage(parity, parity_codec, monkeypatch):
+    # the linked rows of a cyclic FSM refer to each other; every way out of a
+    # run must unlink them, so refcounting alone frees the table
+    spec = random_fsm(random.Random(0))  # 4 states, 13 of 16 rules change state
+    assert len(spec.states) > 1
+    codec = build_codec(spec)
+    symbols = random.Random(4).choices(spec.symbols, k=200)
+    dropped = compile_fsm(parity, parity_codec)[1:]  # no tRNA for (A, 0)
+
+    def kind(got):
+        return got[0] if isinstance(got[0], type) else type(got[0])
+
+    gc.collect()
+    gc.disable()
+    try:
+        kinds = [kind(outcome(fsm_run, *args)) for args in (
+            (parity, "0110", parity_codec),
+            (parity, "01x1", parity_codec),
+            (spec, symbols, codec),
+            (spec, [*symbols, UNDECLARED[0]], codec),
+        )]
+        monkeypatch.setattr(fsm_module, "compile_fsm", lambda spec, codec: dropped)
+        kinds.append(kind(outcome(fsm_run, parity, "0", parity_codec)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert kinds == [str, FsmError, str, FsmError, FsmCompileCorruption]
 
 
 def reference_oracle(spec, input_symbols):

@@ -156,6 +156,15 @@ class TestStep:
         # keyed, not drawn from a global stream: two unseeded runs agree
         assert trials() == trials() == trials(rng_seed=0)
 
+    def test_a_seed_of_none_draws_seed_zeros_stream(self, utm, utm_codec):
+        def trace(sim):
+            return run(sim, arrival=Arrival.STOCHASTIC)[1]
+
+        seeded = new_sim(utm, utm_codec, rng_seed=0)
+        built = dataclasses.replace(seeded, rng_seed=None)  # direct construction
+        assert built.rng_seed == 0
+        assert trace(new_sim(utm, utm_codec, rng_seed=None)) == trace(built) == trace(seeded)
+
     def test_deterministic_and_stochastic_agree_on_rules(self, utm, utm_codec):
         def rule_seq(arrival, seed=None):
             sim = new_sim(utm, utm_codec, CompileMode.DUAL, rng_seed=seed)
