@@ -129,7 +129,7 @@ def test_probe_reports_every_figure():
                                parity_symbols=50, repeats=1)
     sides = {"right", "left"}
     cell_figures = ("bisimulate_8_steps_ms", "encode_tape_ms", "decode_tape_after_8_steps_ms")
-    assert set(report) == {"python", "walker_run_us_per_step", "utm55_us",
+    assert set(report) == {"python", "import_ms", "walker_run_us_per_step", "utm55_us",
                            "utm55_new_sim_over_run", "utm55_check_us_per_step",
                            "bb5_run_us_per_step", "parity", *cell_figures}
     assert set(report["walker_run_us_per_step"]) == sides
@@ -144,7 +144,9 @@ def test_probe_reports_every_figure():
     # a median of differences, so a loaded host may read it below 0
     assert isinstance(report["utm55_check_us_per_step"], float)
     assert set(report["parity"]) == {"fsm_run_ms", "fsm_oracle_ms", "ratio"}
-    figures = [*report["utm55_us"].values(), *report["parity"].values(),
+    assert set(report["import_ms"]) == {"bare", "fsm", "tm"}
+    figures = [*report["import_ms"].values(), *report["utm55_us"].values(),
+               *report["parity"].values(),
                report["bb5_run_us_per_step"]]
     for side in sides:
         figures += report["walker_run_us_per_step"][side].values()

@@ -241,7 +241,8 @@ class TestStochasticFit:
     """Stochastic arrival's per-step trials over consecutive seeds 0..N-1 fit
     Geometric(1/pool): a chi-square test over 10 bins cut at the geometric
     deciles, with each bin's exact expected count, at chi-square(9)'s 0.999
-    quantile. N is fixed per machine, so each sample is the same every run."""
+    quantile. N is fixed per machine, so each sample is the same every run;
+    so is the one long walker run, the last test."""
 
     CHI2_9_999 = 27.88
 
@@ -279,6 +280,27 @@ class TestStochasticFit:
         assert sum(observed) == n
         chi2 = sum((o - n * p) ** 2 / (n * p) for o, p in zip(observed, probs))
         assert chi2 < self.CHI2_9_999, (observed, [float(n * p) for p in probs], float(chi2))
+
+    CHI2_4_999 = 18.47
+
+    def test_walker_run_fits_the_geometric(self):
+        """One seed-0 10,000-step run of a one-rule walker in dual mode, pool 2.
+        Half the mass sits on one trial, so the deciles do not cut ten bins:
+        the bins are exactly 1, 2, 3, 4 and 5 or more trials, at chi-square(4)'s
+        0.999 quantile."""
+        spec = parse_machine_spec("symbols: 0 1\nstates: q1\nrule: q1 0 1 R q1\n"
+                                  "default: 0\ninitial: q1\ntape: 0\nhead: 0\n")
+        start = new_sim(spec, build_codec(spec), CompileMode.DUAL, rng_seed=0)
+        assert start.index.pool == 2
+        _, trace, outcome = run(start, 10_000, Arrival.STOCHASTIC)
+        assert outcome is Outcome.STEP_LIMIT
+        counts = Counter(min(e.trials, 5) for e in trace)
+        observed = [counts[k] for k in range(1, 6)]
+        probs = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 16)]
+        n = len(trace)
+        assert sum(observed) == n == 10_000
+        chi2 = sum((o - n * p) ** 2 / (n * p) for o, p in zip(observed, probs))
+        assert chi2 < self.CHI2_4_999, (observed, [float(n * p) for p in probs], float(chi2))
 
 
 class TestRun:

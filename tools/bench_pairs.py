@@ -45,7 +45,9 @@ microseconds per step, ``bisimulate`` less ``new_sim`` and ``run`` over the
 run's steps, as a median of rounds that time the three back to back; BB(5)
 ``run`` microseconds per step over the first 20,000 steps of
 ``tests/golden/bb5.spec``, the mechanical chain alone on a tape that grows on
-both sides; the parity FSM's ``fsm_run`` and ``fsm_oracle`` over the same
+both sides; the milliseconds a fresh interpreter takes to import the bare
+package, an FSM-only caller's names and a TM caller's names, each a median
+over fresh interpreters that time their own import; the parity FSM's ``fsm_run`` and ``fsm_oracle`` over the same
 symbols and their ratio; and, in milliseconds, an 8-step ``bisimulate`` at
 the growing edge of all-0 tapes, with the two whole-tape ends of that proof
 on the same tapes: ``encode_tape`` of the spec, and ``decode_tape`` of the
@@ -82,6 +84,15 @@ BISIM_STEPS = 8
 BB5_STEPS = 20_000
 PARITY_SYMBOLS = 100_000
 REPEATS = 5
+# --probe import paths, each timed in fresh interpreters: the bare package, an
+# FSM-only caller's names and a TM caller's names
+IMPORT_PATHS = {
+    "bare": "import codonmachine",
+    "fsm": "from codonmachine import (build_codec, corpus_spec_text, fsm_oracle, fsm_run,\n"
+           "    parse_fsm_spec)",
+    "tm": "from codonmachine import (bisimulate, build_codec, decode_tape, new_sim,\n"
+          "    parse_machine_spec, run)",
+}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -224,6 +235,19 @@ def _median_check_s(new_sim, run, bisimulate, calls: int) -> float:
     return statistics.median(extra)
 
 
+def _import_ms(code: str, interpreters: int) -> float:
+    """Median milliseconds ``code`` takes in ``interpreters`` fresh interpreters,
+    each timing itself, so interpreter start-up is left out. Each imports this
+    checkout's ``src/`` as a benchmark run does, writing no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    script = f"import time\nt0 = time.perf_counter()\n{code}\nprint(time.perf_counter() - t0)"
+    return statistics.median(
+        1e3 * float(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                   text=True, check=True).stdout)
+        for _ in range(interpreters))
+
+
 def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
           parity_symbols=PARITY_SYMBOLS, repeats=REPEATS) -> dict:
     """Time the layers of the importable ``codonmachine``; see the module doc."""
@@ -282,6 +306,7 @@ def probe(walker_steps=WALKER_STEPS, bisim_cells=BISIM_CELLS,
     oracle_s = _median_s(lambda: cm.fsm_oracle(fsm, symbols), repeats)
     return {
         "python": platform.python_version(),
+        "import_ms": {path: _import_ms(code, repeats) for path, code in IMPORT_PATHS.items()},
         "walker_run_us_per_step": walker,
         "utm55_us": utm55,
         "utm55_new_sim_over_run": utm55["new_sim"] / utm55["run"],

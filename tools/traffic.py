@@ -62,7 +62,10 @@ def statement_spans(source: str) -> list[tuple[int, int]]:
 def trace_lines(root: Path, traffic: Callable[[], object]) -> dict[str, set[int]]:
     """Run ``traffic`` and return the lines it ran in each file under ``root``.
     Frames of other files get no line tracer. The tracer in place before is
-    put back afterwards, so one run may nest in another."""
+    put back afterwards, so one run may nest in another. One line tracer
+    serves every frame: a closure made per call that returns itself would be
+    a reference cycle per call, garbage that traced code's own cyclic-garbage
+    checks would count."""
     prefix = str(root.resolve()) + os.sep
     lines: dict[str, set[int]] = defaultdict(set)
 
@@ -70,14 +73,12 @@ def trace_lines(root: Path, traffic: Callable[[], object]) -> dict[str, set[int]
         filename = frame.f_code.co_filename
         if not filename.startswith(prefix):
             return None
-        ran = lines[filename]
-        ran.add(frame.f_lineno)
+        lines[filename].add(frame.f_lineno)
+        return on_line
 
-        def on_line(frame, event, arg):
-            if event == "line":
-                ran.add(frame.f_lineno)
-            return on_line
-
+    def on_line(frame, event, arg):
+        if event == "line":
+            lines[frame.f_code.co_filename].add(frame.f_lineno)
         return on_line
 
     before = sys.gettrace()
